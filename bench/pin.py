@@ -27,16 +27,16 @@ PINS = os.path.join(HERE, "expected.json")
 def pin(workload: str, seed: int, expected: dict) -> None:
     os.makedirs(OUT, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=OUT) as work:
-        wl, problems = W.prepare(workload, seed, work)
-        runner = Runner(wl, seed, expected)
-        runner.one_pass()
-    if problems or runner.mismatch:
-        raise SystemExit(f"{workload} seed {seed}: refusing to pin: {problems + runner.problems}")
+        runner = Runner(workload, seed, expected)
+        if runner.setup(work):
+            runner.one_pass()
+    if runner.wl is None or runner.mismatch:
+        raise SystemExit(f"{workload} seed {seed}: refusing to pin: {runner.problems}")
     entry = expected.setdefault(workload, {})
     for name, fp in runner.reference.items():
         if name in W.ERROR_OPS:
             continue
-        key = "any" if name in wl.FIXED else str(seed)
+        key = "any" if name in runner.wl.FIXED else str(seed)
         entry.setdefault(key, {})[name] = fp
 
 

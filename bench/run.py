@@ -26,13 +26,14 @@ import subprocess
 import sys
 import tempfile
 import time
-from statistics import median
+from statistics import median, median_low
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 OUT = os.path.join(ROOT, ".bench_out")
-SETUP_PER_PASS = 3  # set-ups timed before each pass, so they sample the whole run, not one moment of it
+SETUP_PER_PASS = 8  # set-ups timed before each pass, so they sample the whole run, not one moment of it
+SETUP_TIMEOUT_S = 60
 MICROBENCH_S = 3  # kept free at the end of a traced run for the geometry microbenchmarks
 RUN_LIMIT_S = 150  # stop starting passes past this, whatever the budget, to exit well within 180 s
 
@@ -45,19 +46,6 @@ def contract() -> tuple[dict[str, str], dict[str, str]]:
         {m["name"]: m["unit"] for m in spec["end_to_end"]},
         {m["name"]: m["unit"] for m in spec["per_layer"]},
     )
-
-
-def unit_of(name: str) -> str:
-    """Unit of a reported number that BENCHMARK.json does not list."""
-    if name.endswith(".ns"):
-        return "ns"
-    if name.endswith("_s") or name.endswith(".s") or ".s." in name:
-        return "s"
-    if name.endswith("_mb"):
-        return "MB"
-    if name.endswith("bytes"):
-        return "B"
-    return "count"
 
 
 def metadata(args, samples: int) -> dict:
@@ -87,33 +75,62 @@ def metadata(args, samples: int) -> dict:
     }
 
 
-def measure_setup(workload: str, seed: int, workdir: str) -> list[float]:
-    """Wall time of fresh interpreters that import ordlines and write the inputs."""
-    times = []
-    for _ in range(SETUP_PER_PASS):
+def measure_setup(runner: "Runner", workdir: str) -> list:
+    """Timed fresh interpreters that import ordlines and write the inputs, as Ops.
+    Each is an operation of the run; one that fails is a crash and gives no time."""
+    from workloads import Op, calibrated
+
+    def child() -> str | None:
         target = tempfile.mkdtemp(dir=workdir)
-        t0 = time.perf_counter()
-        subprocess.run([sys.executable, os.path.join(HERE, "inputs.py"), workload, str(seed), target], check=True)
-        times.append(time.perf_counter() - t0)
-    return times
+        cmd = [sys.executable, os.path.join(HERE, "inputs.py"), runner.workload, str(runner.seed), target]
+        try:
+            proc = subprocess.run(cmd, capture_output=True, text=True, timeout=SETUP_TIMEOUT_S)
+        except (OSError, subprocess.TimeoutExpired) as exc:
+            return f"{type(exc).__name__}: {exc}"
+        return None if proc.returncode == 0 else f"exit {proc.returncode}: {proc.stderr.strip()[-200:]}"
+
+    setups = []
+    for _ in range(SETUP_PER_PASS):
+        crash, seconds, host = calibrated(child)
+        runner.judge_setup([], crash)
+        if crash is None:
+            setups.append(Op("setup", seconds, host))
+    return setups
 
 
 class Runner:
     """Runs passes of one workload and keeps every operation's outcome."""
 
-    def __init__(self, wl, seed: int, expected: dict):
-        self.wl = wl
-        pins = expected.get(wl.name, {})
+    def __init__(self, workload: str, seed: int, expected: dict):
+        self.workload, self.seed = workload, seed
+        self.wl = None
+        pins = expected.get(workload, {})
         self.pins = {**pins.get("any", {}), **pins.get(str(seed), {})}
         self.reference: dict[str, dict] = {}
         self.attempted = self.failed = 0
         self.mismatch = False
         self.problems: list[str] = []
 
-    def judge_setup(self, problems: list[str]) -> None:
-        """The input round trip counts as one operation of the run."""
+    def setup(self, workdir: str) -> bool:
+        """Generate, write and read back the inputs; False if that raised."""
+        import workloads as W
+
+        try:
+            wl, problems = W.prepare(self.workload, self.seed, workdir)
+        except Exception as exc:  # a set-up that raises is a failed operation, not a dead run
+            self.judge_setup([], f"{type(exc).__name__}: {exc}")
+            return False
+        self.wl = wl
+        self.judge_setup(problems)
+        return True
+
+    def judge_setup(self, problems: list[str], crash: str | None = None) -> None:
+        """A set-up (the input round trip, or a timed set-up child) counts as one operation of the run."""
         self.attempted += 1
-        if problems:
+        if crash is not None:
+            self.failed += 1
+            self.problems.append(f"setup: crash: {crash}")
+        elif problems:
             self.failed += 1
             self.mismatch = True
             self.problems += [f"setup: mismatch: {p}" for p in problems]
@@ -183,13 +200,15 @@ def run_passes(runner: Runner, budget: float, started: float, before_each=None) 
             return passes
 
 
-def pass_seconds(p: dict) -> float:
-    return sum(op.seconds for op in p.values())
+def run_seconds(passes: list[dict]) -> float:
+    """One pass of the fixed work, in reference seconds: each operation's estimate, summed."""
+    from workloads import ref_seconds
+
+    return sum(ref_seconds(p[name] for p in passes) for name in passes[0])
 
 
 def traced_passes(runner: Runner, args, work: str, started: float) -> tuple[list[dict], list[dict]]:
     """Traced set-up plus one pass, repeated while the rest of the budget allows."""
-    import workloads as W
     from tracing import Tracer, merge
 
     traced, dumps = [], []
@@ -199,8 +218,10 @@ def traced_passes(runner: Runner, args, work: str, started: float) -> tuple[list
         tracer = Tracer()
         tracer.install()
         with tracer.span("setup"):
-            runner.wl, problems = W.prepare(args.workload, args.seed, work)
-        runner.judge_setup(problems)
+            ok = runner.setup(work)
+        if not ok:
+            tracer.uninstall()
+            return traced, dumps
         if args.workload == "cli":
             # The parent only sets up; each command traces itself through the launcher.
             tracer.uninstall()
@@ -220,26 +241,30 @@ def traced_passes(runner: Runner, args, work: str, started: float) -> tuple[list
 
 
 def layer_report(runner: Runner, passes: list[dict], traced: list[dict], dumps: list[dict]) -> dict:
-    """Every per-layer number, as name -> value (None where the boundary is absent)."""
+    """Every per-layer number, as name -> (value, unit); the value is None where the boundary is absent."""
     from microbench import geometry_ns
     from tracing import layer_metrics
 
     per_pass = [layer_metrics(d) for d in dumps]
     layers = {}
     for key in {k for pm in per_pass for k in pm}:
-        vals = [pm[key] for pm in per_pass if pm.get(key) is not None]
-        layers[key] = median(vals) if vals else None
+        vals = [pm[key][0] for pm in per_pass if key in pm and pm[key][0] is not None]
+        unit = next(pm[key][1] for pm in per_pass if key in pm)
+        # median_low returns one pass's own value, so exact counts stay integers.
+        layers[key] = (median_low(vals) if vals else None, unit)
+    if not traced:
+        return layers
     values = {n: op.value for n, op in traced[-1].items()}
     for fn, ns in geometry_ns(*runner.wl.key_sets(values)).items():
-        layers[f"geometry.{fn}.ns"] = ns
+        layers[f"geometry.{fn}.ns"] = (ns, "ns")
     if runner.wl.name == "cli":
         by_command: dict[str, list[str]] = {}
         for name, cmd_args, _ in runner.wl.commands():
             by_command.setdefault(cmd_args[0].lstrip("-"), []).append(name)
         for cmd, names in by_command.items():
-            layers[f"cli.{cmd}.s"] = median(sum(p[n].seconds for n in names) for p in traced)
-        layers["cli.startup_s"] = median(p[n].seconds for p in traced for n in ("help.1", "help.2", "help.3"))
-    layers["trace.overhead_s"] = median(pass_seconds(p) for p in traced) - median(pass_seconds(p) for p in passes)
+            layers[f"cli.{cmd}.s"] = (median(sum(p[n].seconds for n in names) for p in traced), "s")
+        layers["cli.startup_s"] = (median(p[n].seconds for p in traced for n in ("help.1", "help.2", "help.3")), "s")
+    layers["trace.overhead_s"] = (run_seconds(traced) - run_seconds(passes), "s")
     return layers
 
 
@@ -256,49 +281,52 @@ def main(argv=None) -> int:
         print(f"error: no ordlines sources at {SRC}; run inside a source checkout", file=sys.stderr)
         return 2
     sys.path.insert(0, SRC)
-    import workloads as W
+    from workloads import ref_seconds
 
     end_to_end, per_layer = contract()
     with open(os.path.join(HERE, "expected.json"), encoding="utf-8") as fh:
         expected = json.load(fh)
     os.makedirs(OUT, exist_ok=True)
+    runner = Runner(args.workload, args.seed, expected)
+    passes: list[dict] = []
+    traced: list[dict] = []
+    setups: list = []
+    report: dict[str, tuple[float | None, str]] = {}
+    record: dict = {}
     with tempfile.TemporaryDirectory(dir=OUT) as work:
-        wl, setup_problems = W.prepare(args.workload, args.seed, work)
-        runner = Runner(wl, args.seed, expected)
-        runner.judge_setup(setup_problems)
+        if runner.setup(work):
+            if args.trace:
+                passes = run_passes(runner, args.seconds / 2, started)
+            else:
+                passes = run_passes(runner, args.seconds, started, lambda: setups.extend(measure_setup(runner, work)))
+            record["passes"] = [{n: op.seconds for n, op in p.items()} for p in passes]
+            if args.trace:
+                traced, dumps = traced_passes(runner, args, work, started)
+                report = layer_report(runner, passes, traced, dumps)
+                record.update(traced_passes=[{n: op.seconds for n, op in p.items()} for p in traced], spans=dumps)
+            else:
+                rss_kb = max(
+                    resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+                    resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,
+                )
+                report = {
+                    "setup_s": (ref_seconds(setups) if setups else None, "s"),
+                    "run_s": (run_seconds(passes), "s"),
+                    "run_wall_s": (sum(median(p[n].seconds for p in passes) for n in passes[0]), "s"),
+                    "host_calibration_s": (median(op.host for p in passes for op in p.values()), "s"),
+                    "peak_rss_mb": (rss_kb / 1024, "MB"),
+                    **runner.wl.e2e(passes),
+                }
+                record["setup"] = [(op.seconds, op.host) for op in setups]
+    report["error_rate"] = (runner.failed / runner.attempted, "ratio")
+    gated = per_layer if args.trace else end_to_end
+    for name, unit in gated.items():
+        report.setdefault(name, (None, unit))
 
-        setup_times: list[float] = []
-        if args.trace:
-            passes = run_passes(runner, args.seconds / 2, started)
-        else:
-            passes = run_passes(
-                runner, args.seconds, started, lambda: setup_times.extend(measure_setup(args.workload, args.seed, work))
-            )
-        record = {"passes": [{n: op.seconds for n, op in p.items()} for p in passes]}
-        if args.trace:
-            traced, dumps = traced_passes(runner, args, work, started)
-            report = {name: (value, unit_of(name)) for name, value in layer_report(runner, passes, traced, dumps).items()}
-            gated, samples = per_layer, len(traced)
-            record.update(traced_passes=[{n: op.seconds for n, op in p.items()} for p in traced], spans=dumps)
-        else:
-            rss_kb = max(
-                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-                resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,
-            )
-            report = {
-                "setup_s": (median(setup_times), "s"),
-                "run_s": (median(pass_seconds(p) for p in passes), "s"),
-                "peak_rss_mb": (rss_kb / 1024, "MB"),
-                "error_rate": (runner.failed / runner.attempted, "ratio"),
-                **wl.e2e(passes),
-            }
-            gated, samples = end_to_end, len(passes)
-            record["setup_times"] = setup_times
-
-    meta = metadata(args, samples)
+    meta = metadata(args, len(traced) if args.trace else len(passes))
     print("meta " + json.dumps(meta, sort_keys=True))
-    for name in passes[0]:
-        print(f"op {name} {median(p[name].seconds for p in passes)!r} s")
+    for name in passes[0] if passes else ():
+        print(f"op {name} {ref_seconds(p[name] for p in passes)!r} s")
     for name, (value, unit) in sorted(report.items()):
         print(f"{'metric' if name in gated else 'info'} {name} {'absent' if value is None else repr(value)} {unit}")
     for problem in runner.problems:
@@ -312,7 +340,9 @@ def main(argv=None) -> int:
     for name, unit in gated.items():
         value = report.get(name, (None,))[0]
         metrics[name] = {"value": 0.0 if value is None else value, "unit": unit}
-    print(json.dumps({"correct": not runner.mismatch, "attempted": runner.attempted, "failed": runner.failed, "metrics": metrics}))
+    # With no pass, no output was checked, so the run cannot count as correct.
+    correct = bool(passes) and not runner.mismatch
+    print(json.dumps({"correct": correct, "attempted": runner.attempted, "failed": runner.failed, "metrics": metrics}))
     return 0
 
 

@@ -74,6 +74,7 @@ def _note_plane_summary(args, result):
 
 def _note_search(args, result):
     return {
+        "n": args[0].n,
         "iterations": args[0].iterations,
         "best_count": result.best_count,
         "accepted_moves": result.accepted_moves,
@@ -209,8 +210,9 @@ def merge(dumps: list[dict]) -> dict:
     return {"counter_names": list(COUNTER_NAMES), "counts": counts, "spans": spans, "installed": sorted(installed)}
 
 
-def layer_metrics(dump: dict) -> dict[str, float | None]:
-    """Per-layer numbers from one traced pass; None marks a boundary that is absent."""
+def layer_metrics(dump: dict) -> dict[str, tuple[float | None, str]]:
+    """Per-layer numbers from one traced pass, as name -> (value, unit);
+    a value of None marks a boundary that is absent."""
     spans, installed = dump["spans"], set(dump["installed"])
     children: dict[int, list[int]] = {}
     for idx, s in enumerate(spans):
@@ -229,41 +231,43 @@ def layer_metrics(dump: dict) -> dict[str, float | None]:
         return [s for s in spans if s["name"] == name]
 
     # Numbers a workload may have no spans for are listed as absent, not left out.
-    m: dict[str, float | None] = dict.fromkeys(
-        (
-            "search.loop_s",
-            "search.start_s",
-            "search.finish_s",
-            "search.plucker_key.calls_per_iter",
-            "search.best_count",
-            "search.accepted_moves",
-            "constructions.attempts_per_set",
-            "fields.hesse.span_summary.s",
+    m: dict[str, tuple[float | None, str]] = {
+        name: (None, unit)
+        for name, unit in (
+            ("search.loop_s", "s"),
+            ("search.start_s", "s"),
+            ("search.finish_s", "s"),
+            ("search.best_count", "count"),
+            ("search.accepted_moves", "count"),
+            ("constructions.attempts_per_set", "count"),
+            ("fields.hesse.span_summary.s", "s"),
         )
-    )
+    }
     for name in COUNTER_NAMES:
-        m[f"{name}.calls"] = dump["counts"][name] if name in installed else None
+        m[f"{name}.calls"] = (dump["counts"][name] if name in installed else None, "count")
     for layer, names in SPANNED.items():
         for fn in names:
             key = f"{layer}.{fn}"
-            m[f"{key}.s"] = sum(dur(s) for s in named(key)) if key in installed else None
+            m[f"{key}.s"] = (sum(dur(s) for s in named(key)) if key in installed else None, "s")
 
     for s in spans:  # per input, where the benchmark called the kernel directly
         parent = spans[s["parent"]] if s["parent"] is not None else None
         if parent and parent["name"].startswith("op.") and s["name"] in ("incidence.span_summary", "incidence.plane_summary"):
             key = f"{s['name']}.s.{parent['name'].rsplit('.', 1)[-1]}"
-            m[key] = (m.get(key) or 0.0) + dur(s)
+            m[key] = ((m.get(key) or (0.0,))[0] + dur(s), "s")
 
     plane_spans = [s for s in named("incidence.plane_summary") if "note" in s]
     planes = sum(s["note"]["planes"] for s in plane_spans)
     m["incidence.plane_summary.keys_per_plane"] = (
-        sum(calls(s, plk) for s in plane_spans) / planes if planes else None
+        sum(calls(s, plk) for s in plane_spans) / planes if planes else None,
+        "count",
     )
 
     searches = [(i, s) for i, s in enumerate(spans) if s["name"] == "search.minimize_ordinary"]
     if searches:
         loop = start = finish = 0.0
-        loop_pk = iters = best = accepted = 0
+        best = accepted = 0
+        by_size: dict[int, list[tuple[int, int]]] = {}  # n -> [(iterations, own plucker_key calls)]
         for idx, s in searches:
             # The annealing loop calls no traced boundary, so it is the widest
             # stretch of the search span that no child span covers.
@@ -277,29 +281,37 @@ def layer_metrics(dump: dict) -> dict[str, float | None]:
             loop += gap[1] - gap[0]
             start += gap[0] - s["start"]
             finish += s["end"] - gap[1]
-            loop_pk += calls(s, pk) - sum(calls(spans[c], pk) for c in children.get(idx, ()))
             note = s.get("note", {})
-            iters += note.get("iterations", 0)
             best += note.get("best_count", 0)
             accepted += note.get("accepted_moves", 0)
+            if "n" in note:
+                own_pk = calls(s, pk) - sum(calls(spans[c], pk) for c in children.get(idx, ()))
+                by_size.setdefault(note["n"], []).append((note["iterations"], own_pk))
         m.update({
-            "search.loop_s": loop,
-            "search.start_s": start,
-            "search.finish_s": finish,
-            "search.plucker_key.calls_per_iter": loop_pk / iters if iters else None,
-            "search.best_count": best,
-            "search.accepted_moves": accepted,
+            "search.loop_s": (loop, "s"),
+            "search.start_s": (start, "s"),
+            "search.finish_s": (finish, "s"),
+            "search.best_count": (best, "count"),
+            "search.accepted_moves": (accepted, "count"),
         })
+        # Loop calls per iteration, per size: the difference between the longest
+        # and the shortest search of one size, whose seeded starts are the same,
+        # so the untraced start and final recounts cancel.
+        for n, runs in sorted(by_size.items()):
+            (short_it, short_pk), (long_it, long_pk) = min(runs), max(runs)
+            if long_it > short_it:
+                m[f"search.plucker_key.calls_per_iter.n{n}"] = ((long_pk - short_pk) / (long_it - short_it), "count")
 
     gens = [i for i, s in enumerate(spans) if s["name"] in ("constructions.gen_near_coplanar", "constructions.gen_coplanar_heavy")]
     if gens:
         attempts = sum(1 for c in gens for k in children.get(c, ()) if spans[k]["name"] == "incidence.plane_summary")
-        m["constructions.attempts_per_set"] = attempts / len(gens)
-    m["constructions.s"] = sum(dur(s) for s in spans if s["name"].startswith("constructions."))
-    m["pointset_io.bytes"] = sum(
-        s.get("note", {}).get("bytes", 0) for s in spans if s["name"].startswith("pointset_io.")
+        m["constructions.attempts_per_set"] = (attempts / len(gens), "count")
+    m["constructions.s"] = (sum(dur(s) for s in spans if s["name"].startswith("constructions.")), "s")
+    m["pointset_io.bytes"] = (
+        sum(s.get("note", {}).get("bytes", 0) for s in spans if s["name"].startswith("pointset_io.")),
+        "B",
     )
     qw = [s for s in named("incidence.span_summary") if s.get("note", {}).get("field") == "Qw"]
     if qw:
-        m["fields.hesse.span_summary.s"] = sum(dur(s) for s in qw)
+        m["fields.hesse.span_summary.s"] = (sum(dur(s) for s in qw), "s")
     return m

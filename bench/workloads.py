@@ -1,10 +1,11 @@
 """The three benchmark workloads: what one pass runs, and how its results are checked.
 
 A pass is the workload's fixed work. Each operation in it is timed on its own
-(``gc.collect()`` first, GC left on) and returns a raw result. After the pass,
-every result is reduced to a fingerprint (exact counts and digests) and
-checked twice: against the pinned fingerprint where ``expected.json`` has one
-for this seed, and against structural identities that hold for any seed.
+(after ``gc.collect()``, GC left on, between calibration loops) and returns
+a raw result. After the pass, every result is reduced to a fingerprint (exact
+counts and digests) and checked twice: against the pinned fingerprint where
+``expected.json`` has one for this seed, and against structural identities
+that hold for any seed.
 A problem is either a ``crash`` (the operation raised, or a command broke its
 exit contract) or a ``mismatch`` (it returned something other than the exact
 answer); both make the operation a failed one.
@@ -48,23 +49,63 @@ def digest(obj) -> str:
 class Op:
     name: str
     seconds: float
+    host: float  # the calibration loop's time around the operation
     value: object = None
     error: str | None = None
 
 
+# On a shared VM the host's speed swings by tens of percent for minutes at a
+# time, so every timed sample is bracketed by a fixed loop, timed three times
+# before it and three times after, and reported as seconds / loop * CAL_REF_S
+# ("reference seconds"), with the median of the six loop times. The loop is
+# the benchmark's own code: a change to ordlines moves the metric in full,
+# while a slow host slows the loop and the sample together. Neither the loop
+# nor CAL_REF_S may change once results are recorded.
+CAL_REF_S = 0.0042  # about the loop's fastest time on the 2-core VM the benchmark was written on
+CAL_LOOPS = 3
+
+
+def calibrate() -> float:
+    """Seconds taken by the fixed calibration loop (integers, tuples, a dict), now."""
+    t0 = time.perf_counter()
+    d: dict = {}
+    for i in range(13000):
+        k = (i * 2654435761) % 100003
+        d[(k, k & 7)] = d.get((k, k & 7), 0) + i * i
+    return time.perf_counter() - t0
+
+
+def calibrated(fn):
+    """Call ``fn`` (which must not raise) after ``gc.collect()``, between two
+    sets of calibration loops; return its result, its seconds and the host's loop time."""
+    gc.collect()
+    before = [calibrate() for _ in range(CAL_LOOPS)]
+    t0 = time.perf_counter()
+    result = fn()
+    seconds = time.perf_counter() - t0
+    return result, seconds, median(before + [calibrate() for _ in range(CAL_LOOPS)])
+
+
+def ref_seconds(ops) -> float:
+    """The estimate every end-to-end time uses: the median over samples of
+    seconds / loop time, in reference seconds."""
+    return median(op.seconds / op.host for op in ops) * CAL_REF_S
+
+
 def timed(name, thunk, tracer=None) -> Op:
     """Run one operation; an exception is recorded as the operation's failure."""
-    gc.collect()
-    t0 = time.perf_counter()
-    try:
-        if tracer is None:
-            value = thunk()
-        else:
+
+    def attempt():
+        try:
+            if tracer is None:
+                return thunk(), None
             with tracer.span(f"op.{name}"):
-                value = thunk()
-    except Exception as exc:  # an operation that raises is a failed operation, not a dead run
-        return Op(name, time.perf_counter() - t0, error=f"{type(exc).__name__}: {exc}")
-    return Op(name, time.perf_counter() - t0, value)
+                return thunk(), None
+        except Exception as exc:  # an operation that raises is a failed operation, not a dead run
+            return None, f"{type(exc).__name__}: {exc}"
+
+    (value, error), seconds, host = calibrated(attempt)
+    return Op(name, seconds, host, value, error)
 
 
 def read_back(inputs: dict, paths: dict[str, str]) -> tuple[dict, list[str]]:
@@ -103,7 +144,7 @@ class Census:
     name = "census"
     FIXED = ("span.grid40",)
 
-    def __init__(self, seed: int, sets: dict):
+    def __init__(self, seed: int, sets: dict, workdir: str):
         self.seed, self.sets = seed, sets
 
     def ops(self):
@@ -166,9 +207,9 @@ class Census:
     @staticmethod
     def e2e(passes) -> dict:
         return {
-            "span2d_s": (median(p["span.grid40"].seconds for p in passes), "s"),
-            "span3d_s": (median(p["span.r3d400"].seconds for p in passes), "s"),
-            "planes3d_s": (median(p["planes.r3d80"].seconds for p in passes), "s"),
+            "span2d_s": (ref_seconds(p["span.grid40"] for p in passes), "s"),
+            "span3d_s": (ref_seconds(p["span.r3d400"] for p in passes), "s"),
+            "planes3d_s": (ref_seconds(p["planes.r3d80"] for p in passes), "s"),
         }
 
     def key_sets(self, values: dict) -> tuple[list, list]:
@@ -192,7 +233,7 @@ class Anneal:
     name = "anneal"
     FIXED = ("search.n20.short", "search.n20.long")
 
-    def __init__(self, seed: int, sets: dict):
+    def __init__(self, seed: int, sets: dict, workdir: str):
         self.seed, self.sets = seed, sets
 
     def config(self, size: str, iterations: int):
@@ -262,10 +303,11 @@ class Anneal:
     def e2e(passes) -> dict:
         out = {}
         for size, (short_n, long_n) in ANNEAL_RUNS.items():
-            gaps = [p[f"search.{size}.long"].seconds - p[f"search.{size}.short"].seconds for p in passes]
-            rates = [(long_n - short_n) / g for g in gaps if g > 0]
-            out[f"iters_per_s.{size}"] = (median(rates) if rates else None, "1/s")
-        out["search_s"] = (median(p["search.n50.long"].seconds for p in passes), "s")
+            gap = ref_seconds(p[f"search.{size}.long"] for p in passes) - ref_seconds(
+                p[f"search.{size}.short"] for p in passes
+            )
+            out[f"iters_per_s.{size}"] = ((long_n - short_n) / gap if gap > 0 else None, "1/s")
+        out["search_s"] = (ref_seconds(p["search.n50.long"] for p in passes), "s")
         return out
 
     def key_sets(self, values: dict) -> tuple[list, list]:
@@ -431,8 +473,12 @@ class Cli:
     @staticmethod
     def e2e(passes) -> dict:
         return {
-            "startup_s": (median(p[n].seconds for p in passes for n in ("help.1", "help.2", "help.3")), "s"),
-            "trace_s": (median(p["project.trace.box533"].seconds + p["project.trace.box771"].seconds for p in passes), "s"),
+            "startup_s": (ref_seconds(p[n] for p in passes for n in ("help.1", "help.2", "help.3")), "s"),
+            "trace_s": (
+                ref_seconds(p["project.trace.box533"] for p in passes)
+                + ref_seconds(p["project.trace.box771"] for p in passes),
+                "s",
+            ),
         }
 
     def key_sets(self, values: dict) -> tuple[list, list]:
@@ -447,6 +493,4 @@ def prepare(workload: str, seed: int, workdir: str):
     """Generate, write and read back the inputs; return the workload and any round-trip problems."""
     inputs = make_inputs(workload, seed)
     sets, problems = read_back(inputs, write_inputs(inputs, workdir))
-    if workload == "cli":
-        return Cli(seed, sets, workdir), problems
-    return WORKLOADS[workload](seed, sets), problems
+    return WORKLOADS[workload](seed, sets, workdir), problems
