@@ -1,6 +1,8 @@
 """Annealing engine: configuration contract, determinism, and exactness."""
 
+import hashlib
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from ordlines import (
     minimize_ordinary,
     plane_summary,
     span_summary,
+    write_pointset,
 )
 from ordlines.search import _exp_neg
 
@@ -133,3 +136,43 @@ def test_exp_surrogate_tracks_exp():
         # chords over a convex curve overshoot by at most h^2/8 ~ 0.032
         assert abs(float(value) - math.exp(-k / 20)) < 0.035
         prev = value
+
+
+# --- golden runs ------------------------------------------------------------
+#
+# Recorded once and never re-pinned: a kernel change that moves any of these
+# values has changed a seeded trajectory, which is a bug.
+
+
+def _sha256_of(points) -> str:
+    return hashlib.sha256(write_pointset(points).encode("utf-8")).hexdigest()
+
+
+def test_golden_criterion_11_run():
+    config = SearchConfig(
+        n=20, alpha=Fraction(3, 5), iterations=10_000, seed=424242, initial=gen_two_skew(10)
+    )
+    result = minimize_ordinary(config)
+    assert result.best_count == 99
+    assert result.trace == [(0, 100), (7, 99)]
+    assert result.accepted_moves == 1776
+    assert _sha256_of(result.best) == (
+        "b73ea8a52251409f00dc002ab128c7b8e69b2f69def196c33ad886a92c70a049"
+    )
+    assert result.plane_profile == [(12, 11)] * 9 + [(10, 9)] * 11
+
+
+def test_golden_random_start_run():
+    result = minimize_ordinary(SearchConfig(n=50, alpha=Fraction(1, 2), iterations=200, seed=2024))
+    assert result.best_count == 1186
+    assert result.trace == [
+        (0, 1225), (3, 1222), (11, 1219), (17, 1216), (21, 1213), (27, 1210), (28, 1207),
+        (42, 1204), (56, 1201), (69, 1198), (80, 1195), (86, 1192), (114, 1189), (115, 1186),
+    ]
+    assert result.accepted_moves == 141
+    assert _sha256_of(result.best) == (
+        "8dde6e15267c5ba177d15a49a70af9e5561dd81a24ba862ae3846df42eff2fa2"
+    )
+    assert len(result.plane_profile) == 567
+    assert Counter(result.plane_profile) == {(5, 4): 14, (5, 7): 2, (4, 3): 551}
+    assert result.plane_profile[:16] == [(5, 4)] * 14 + [(5, 7)] * 2
