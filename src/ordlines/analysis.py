@@ -16,7 +16,7 @@ from math import comb
 
 from .errors import DomainError, UsageError
 from .geometry import CanonLine2, CanonLine3, Kind, Point, canon_line, coplanar, incident
-from .incidence import PointSet, ordinary_lines, plane_summary, span_summary
+from .incidence import PlaneSummary, PointSet, ordinary_lines, plane_summary, span_summary
 
 __all__ = [
     "BoundConstants",
@@ -252,21 +252,25 @@ def concurrent_lines_probe(P: PointSet, apex: Point) -> ConcurrentProbeReport:
     return ConcurrentProbeReport(contained_in=len(pencil), ordinary_avoiding_apex=avoiding)
 
 
-def plane_ordinary_profile(P: PointSet, min_points: int = 4) -> list[tuple[int, int]]:
+def plane_ordinary_profile(
+    P: PointSet, min_points: int = 4, summary: PlaneSummary | None = None
+) -> list[tuple[int, int]]:
     """For each spanned plane with at least min_points points, pair its point count
     with the ordinary count of that coplanar subset taken on its own.
 
     Output is data for the open question whether some heavy plane's subset
     spans close to half its size in ordinary lines; nothing is asserted.
-    Sorted by descending point count, then ascending ordinary count.
+    Sorted by descending point count, then ascending ordinary count. A caller
+    that already holds ``plane_summary(P)`` passes it as ``summary``.
     """
-    summary = plane_summary(P)
+    if summary is None:
+        summary = plane_summary(P)
     profile = []
-    for plane, count in summary.plane_counts.items():
-        if count < min_points:
+    for members in summary.plane_points.values():
+        if len(members) < min_points:
             continue
-        subset = PointSet([p for p in P if incident(plane, p)], label="plane-subset")
-        profile.append((count, span_summary(subset).ordinary))
+        subset = PointSet([P[i] for i in members], label="plane-subset")
+        profile.append((len(members), span_summary(subset).ordinary))
     profile.sort(key=lambda entry: (-entry[0], entry[1]))
     return profile
 

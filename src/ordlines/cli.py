@@ -237,6 +237,8 @@ def _parse_indices(text: str, n: int, name: str) -> tuple[int, int]:
 
 
 def _heaviest_skew_pair(ps: PointSet):
+    if ps.kind is not Kind.AFFINE3:
+        raise UsageError("skew lines need a 3D affine set")
     groups: dict = {}
     for i in range(len(ps) - 1):
         for j in range(i + 1, len(ps)):

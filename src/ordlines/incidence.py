@@ -1,11 +1,14 @@
 """Spanned lines and planes of a finite point set, and radial projections.
 
-The central trick is shared by everything here: group the C(n,2) point pairs
-by the canonical key of the line they span. Each group then holds exactly the
-indices of the set's points on that line, so histograms, degrees, and
-ordinary-line lists all fall out of one dictionary pass. Planes are derived
-from (spanned line, off-line point) pairs instead of raw triples; the union of
-contributions per canonical plane recovers the full point set of each plane.
+Lines come from one trick: group the C(n,2) point pairs by the canonical key
+of the line they span. Each group then holds exactly the indices of the set's
+points on that line, so histograms, degrees, and ordinary-line lists all fall
+out of one dictionary pass. Planes come from one kernel that works per anchor
+point: the other points are grouped by their direction from the anchor, and
+pairs of direction classes by the normal they span, so each group is the
+anchor's share of one plane. A plane's first anchor (its smallest index) sees
+all of its points, which gives the exact point set of every spanned plane
+without touching raw triples.
 
 Projections from a set point are kept projective: the image of q under
 projection from p is the direction of the line pq, as a point of the rational
@@ -33,8 +36,8 @@ from .geometry import (
     direction_key,
     incident,
     int_hom,
-    plane_key,
     plucker_key,
+    primitive_signed,
     projective2,
 )
 
@@ -111,8 +114,12 @@ class SpanSummary:
 
 @dataclass
 class PlaneSummary:
+    """Every spanned plane of a 3D set, with its point count and the sorted
+    indices of the set's points on it."""
+
     plane_counts: dict[CanonPlane, int]
     max_coplanar: int
+    plane_points: dict[CanonPlane, tuple[int, ...]]
 
 
 @dataclass
@@ -223,35 +230,77 @@ def point_degrees(P: PointSet) -> list[int]:
     return degrees
 
 
-def plane_summary(P: PointSet) -> PlaneSummary:
-    """Classify every spanned plane of a 3D set by how many points of P it contains.
+def _anchor_planes(
+    homs: list[tuple[int, ...]], anchor: int, others
+) -> dict[tuple[int, ...], list[int]]:
+    """The planes through one point of a 3D set, spanned with the points ``others``.
 
-    Planes are enumerated as (spanned line, off-line point) pairs. Every point
-    of a spanned plane either lies on one of its spanned lines or is the
-    off-line point of one, so accumulating the union per canonical plane
-    recovers exact per-plane counts without touching all C(n,3) triples twice.
+    Maps each plane's normal (a primitive integer 3-vector) to the indices in
+    ``others`` on that plane. The points are grouped by direction from the
+    anchor, and two direction classes lie on the plane whose normal is their
+    cross product; a line through the anchor thus joins every plane that
+    contains it. Empty when ``others`` is collinear with the anchor.
     """
+    ha = homs[anchor]
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for j in others:
+        d = direction_key(ha, homs[j])
+        members = classes.get(d)
+        if members is None:
+            classes[d] = [j]
+        else:
+            members.append(j)
+    dirs = list(classes)
+    # A plane's classes are all met paired with its first class, so only those
+    # pairs extend its bundle.
+    bundles: dict[tuple[int, ...], list[int]] = {}
+    for a in range(len(dirs) - 1):
+        da = dirs[a]
+        for b in range(a + 1, len(dirs)):
+            normal = cross_key(da, dirs[b])
+            bundle = bundles.get(normal)
+            if bundle is None:
+                bundles[normal] = [a, b]
+            elif bundle[0] == a:
+                bundle.append(b)
+    groups = list(classes.values())
+    return {
+        normal: [j for c in bundle for j in groups[c]] for normal, bundle in bundles.items()
+    }
+
+
+def _plane_groups(P: PointSet) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Map each spanned plane's key (as ``plane_key`` gives it) to the sorted
+    indices of the points of P on it.
+
+    Each point i anchors the planes it spans with the points after it. A plane
+    is complete at its smallest-index anchor, so a key seen before is skipped.
+    """
+    homs = [int_hom(p) for p in P.points]
+    n = len(homs)
+    groups: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for i in range(n - 2):
+        x0, x1, x2, w = homs[i]
+        for (n0, n1, n2), members in _anchor_planes(homs, i, range(i + 1, n)).items():
+            key = primitive_signed((w * n0, w * n1, w * n2, -(n0 * x0 + n1 * x1 + n2 * x2)))
+            if key not in groups:
+                groups[key] = (i, *sorted(members))
+    if not groups:
+        raise DegenerateInputError("all points are collinear; spanned planes are undefined")
+    return groups
+
+
+def plane_summary(P: PointSet) -> PlaneSummary:
+    """Classify every spanned plane of a 3D set by the points of P it contains."""
     if P.kind is not Kind.AFFINE3:
         raise UsageError("plane_summary needs a 3D affine set")
     if len(P) < 3:
         raise UsageError("plane_summary needs at least 3 points")
-    groups = _line_groups(P)
-    n = len(P)
-    if any(len(g) == n for g in groups.values()):
-        raise DegenerateInputError("all points are collinear; spanned planes are undefined")
-    homs = [int_hom(p) for p in P.points]
-    planes: dict[tuple[int, ...], set[int]] = {}
-    for g in groups.values():
-        it = iter(g)
-        i0, i1 = next(it), next(it)
-        for x in range(n):
-            if x in g:
-                continue
-            s = planes.setdefault(plane_key(homs[i0], homs[i1], homs[x]), set())
-            s |= g
-            s.add(x)
-    counts = {CanonPlane(k): len(s) for k, s in sorted(planes.items())}
-    return PlaneSummary(plane_counts=counts, max_coplanar=max(counts.values()))
+    points = {CanonPlane(k): members for k, members in sorted(_plane_groups(P).items())}
+    counts = {plane: len(members) for plane, members in points.items()}
+    return PlaneSummary(
+        plane_counts=counts, max_coplanar=max(counts.values()), plane_points=points
+    )
 
 
 def project_from(P: PointSet, center_index: int) -> ProjectionImage:

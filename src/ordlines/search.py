@@ -7,11 +7,14 @@ piecewise-linear table of exp(-x), the temperature is a rational with a
 bounded denominator, and random draws are integers, so a seed fully
 determines the run on every platform.
 
-Proposals are scored with a full ordinary-line recount (pairs grouped by
-canonical line key; a line is ordinary exactly when one pair maps to its key).
-The coplanarity cap is only checked once a proposal would otherwise be
-accepted, and only through the moved point: a move can create an overweight
-plane only through the point it placed.
+Proposals are scored incrementally. The state keeps the canonical line key
+of every point pair and how many pairs map to each key; a line with k points
+receives C(k,2) pairs, so it is ordinary exactly when one pair maps to its
+key. Moving one point retracts its n-1 old pairs and adds its n-1 new ones,
+and a rejected move is undone the same way. The coplanarity cap is only
+checked once a proposal would otherwise be accepted, and only through the
+moved point: a move can create an overweight plane only through the point it
+placed.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from fractions import Fraction
 from math import floor
 
 from .analysis import plane_ordinary_profile
-from .errors import GenerationError, InvariantViolationError, UsageError
-from .geometry import Kind, Point, affine3, cross_key, direction_key, int_hom, plucker_key
-from .incidence import PointSet, plane_summary, span_summary
+from .errors import DegenerateInputError, GenerationError, InvariantViolationError, UsageError
+from .geometry import Kind, Point, affine3, int_hom, plucker_key
+from .incidence import PointSet, _anchor_planes, plane_summary, span_summary
 
 __all__ = ["SearchConfig", "SearchResult", "minimize_ordinary"]
 
@@ -133,49 +136,68 @@ def _rand_q(rng: random.Random, bound: int) -> Fraction:
     return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
 
 
-def _ordinary_count(homs: list[tuple[int, ...]]) -> tuple[int, int]:
-    """(ordinary lines, distinct lines) of the set, from integer homogeneous coords.
+class _LineCounts:
+    """Pair counts per spanned line of a 3D point set, kept up to date as points move.
 
-    A spanned line with k points receives C(k,2) pairs, so a line is ordinary
-    exactly when its key is hit by a single pair.
+    ``keys[i][j]`` is the line key of the pair {i, j}, ``pairs`` maps each
+    line key to the number of pairs on it, and ``ordinary`` counts the keys
+    hit by exactly one pair. Intermediate states during a move need not be
+    valid configurations; ``ordinary`` tracks the keys at count 1 throughout.
     """
-    pair_totals: dict[tuple[int, ...], int] = {}
-    n = len(homs)
-    for i in range(n - 1):
-        hi = homs[i]
-        for j in range(i + 1, n):
-            key = plucker_key(hi, homs[j])
-            pair_totals[key] = pair_totals.get(key, 0) + 1
-    ordinary = sum(1 for c in pair_totals.values() if c == 1)
-    return ordinary, len(pair_totals)
+
+    def __init__(self, homs: list[tuple[int, ...]]):
+        n = len(homs)
+        self.keys: list[list] = [[None] * n for _ in range(n)]
+        self.pairs: dict[tuple[int, ...], int] = {}
+        self.ordinary = 0
+        for i in range(n - 1):
+            for j in range(i + 1, n):
+                key = plucker_key(homs[i], homs[j])
+                self.keys[i][j] = self.keys[j][i] = key
+                self._add(key)
+
+    @property
+    def num_lines(self) -> int:
+        return len(self.pairs)
+
+    def _add(self, key) -> None:
+        c = self.pairs.get(key, 0)
+        self.pairs[key] = c + 1
+        if c == 0:
+            self.ordinary += 1
+        elif c == 1:
+            self.ordinary -= 1
+
+    def _remove(self, key) -> None:
+        c = self.pairs[key]
+        if c == 1:
+            del self.pairs[key]
+            self.ordinary -= 1
+        else:
+            self.pairs[key] = c - 1
+            if c == 2:
+                self.ordinary += 1
+
+    def replace(self, i: int, new_keys: list) -> list:
+        """Give point i the pair keys ``new_keys`` (indexed like the points, entry i
+        ignored) and return its previous row, which undoes the move when replaced back."""
+        row = self.keys[i]
+        for j, key in enumerate(row):
+            if j != i:
+                self._remove(key)
+        for j, key in enumerate(new_keys):
+            if j != i:
+                self._add(key)
+                self.keys[j][i] = key
+        self.keys[i] = new_keys
+        return row
 
 
 def _breaks_cap(homs: list[tuple[int, ...]], moved: int, cap: int) -> bool:
-    """Exact test for an overweight plane through the moved point.
-
-    Points coplanar with the moved point project to collinear directions, so
-    the heaviest plane through it is 1 + the heaviest weighted collinear
-    bundle of direction classes (or 1 + the heaviest single class when the
-    plane hugs one line).
-    """
-    hm = homs[moved]
-    weights: dict[tuple[int, ...], int] = {}
-    for j, hj in enumerate(homs):
-        if j == moved:
-            continue
-        d = direction_key(hm, hj)
-        weights[d] = weights.get(d, 0) + 1
-    heaviest = max(weights.values())
-    dirs = list(weights.items())
-    if len(dirs) >= 2:
-        bundles: dict[tuple[int, ...], set[int]] = {}
-        for a in range(len(dirs) - 1):
-            da = dirs[a][0]
-            for b in range(a + 1, len(dirs)):
-                bundles.setdefault(cross_key(da, dirs[b][0]), set()).update((a, b))
-        for members in bundles.values():
-            heaviest = max(heaviest, sum(dirs[idx][1] for idx in members))
-    return 1 + heaviest > cap
+    """Exact test for an overweight plane through the moved point."""
+    others = [j for j in range(len(homs)) if j != moved]
+    planes = _anchor_planes(homs, moved, others)
+    return 1 + max(map(len, planes.values()), default=0) > cap
 
 
 def _random_start(config: SearchConfig, rng: random.Random) -> list[Point]:
@@ -184,10 +206,11 @@ def _random_start(config: SearchConfig, rng: random.Random) -> list[Point]:
         while len(coords) < config.n:
             coords.add(tuple(_rand_q(rng, config.coordinate_bound) for _ in range(3)))
         pts = [affine3(*c) for c in sorted(coords)]
-        homs = [int_hom(p) for p in pts]
-        if _ordinary_count(homs)[1] == 1:
+        try:
+            heaviest = plane_summary(PointSet(pts)).max_coplanar
+        except DegenerateInputError:  # all collinear
             continue
-        if plane_summary(PointSet(pts)).max_coplanar <= config.cap:
+        if heaviest <= config.cap:
             return pts
     raise GenerationError("no random start satisfied the coplanarity cap after 100 tries")
 
@@ -243,7 +266,8 @@ def minimize_ordinary(config: SearchConfig) -> SearchResult:
 
     homs = [int_hom(p) for p in points]
     occupied = set(points)
-    current, _ = _ordinary_count(homs)
+    lines = _LineCounts(homs)
+    current = lines.ordinary
 
     best_points = list(points)
     best_count = current
@@ -268,9 +292,13 @@ def minimize_ordinary(config: SearchConfig) -> SearchResult:
         if new_point in occupied:
             continue
         old_point, old_hom = points[i], homs[i]
-        points[i], homs[i] = new_point, int_hom(new_point)
-        candidate, num_lines = _ordinary_count(homs)
-        ok = num_lines > 1
+        new_hom = int_hom(new_point)
+        points[i], homs[i] = new_point, new_hom
+        old_keys = lines.replace(
+            i, [None if j == i else plucker_key(new_hom, hj) for j, hj in enumerate(homs)]
+        )
+        candidate = lines.ordinary
+        ok = lines.num_lines > 1
         if ok and candidate >= current:
             p = _exp_neg(Fraction(candidate - current) / temp)
             ok = Fraction(rng.randrange(_DRAW_DEN), _DRAW_DEN) < p
@@ -278,6 +306,7 @@ def minimize_ordinary(config: SearchConfig) -> SearchResult:
             ok = not _breaks_cap(homs, i, config.cap)
         if not ok:
             points[i], homs[i] = old_point, old_hom
+            lines.replace(i, old_keys)
             continue
         occupied.discard(old_point)
         occupied.add(new_point)
@@ -292,7 +321,8 @@ def minimize_ordinary(config: SearchConfig) -> SearchResult:
     recount = span_summary(best).ordinary
     if recount != best_count:
         raise InvariantViolationError(f"recount {recount} disagrees with best_count {best_count}")
-    if plane_summary(best).max_coplanar > config.cap:
+    planes = plane_summary(best)
+    if planes.max_coplanar > config.cap:
         raise InvariantViolationError("best set violates the coplanarity cap")
     return SearchResult(
         best=best,
@@ -300,5 +330,5 @@ def minimize_ordinary(config: SearchConfig) -> SearchResult:
         ratio=Fraction(best_count, config.n**2),
         accepted_moves=accepted,
         trace=trace,
-        plane_profile=plane_ordinary_profile(best),
+        plane_profile=plane_ordinary_profile(best, summary=planes),
     )

@@ -138,6 +138,16 @@ def test_verify_skew_bound(runner, tmp_path):
     assert result.exit_code != 0
 
 
+def test_verify_skew_bound_on_2d_input_is_a_usage_error(runner, tmp_path):
+    planar = _gen(runner, tmp_path, "grid", "--m", "3", name="planar.txt")
+    for extra in ([], ["--line1", "0,1", "--line2", "3,4"]):
+        result = runner.invoke(main, ["verify", "skew-bound", str(planar), *extra])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Error:" in _everything(result)
+        assert "3D" in _everything(result)
+
+
 def test_verify_almost_coplanar(runner, tmp_path):
     path = _gen(runner, tmp_path, "skew", "--m", "10")
     result = runner.invoke(main, ["verify", "almost-coplanar", str(path), "--k", "9"])

@@ -2,9 +2,12 @@
 center-avoiding ordinary-line hunt."""
 
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ordlines import (
     DegenerateInputError,
@@ -28,7 +31,9 @@ from ordlines import (
     project_from,
     span_summary,
 )
-from conftest import naive_line_sets, naive_plane_counts, naive_span
+from ordlines.geometry import int_hom, plane_key
+from ordlines.incidence import _plane_groups
+from conftest import naive_line_sets, naive_plane_counts, naive_plane_sets, naive_span
 
 
 def axes_seven() -> PointSet:
@@ -171,6 +176,74 @@ def test_plane_oracle_equivalence_small_sets():
     for P in sets:
         ps = plane_summary(P)
         assert ps.plane_counts == naive_plane_counts(P), P.label
+
+
+# Coordinates whose numerators and denominators reach about 200 bits.
+_BIG = 1 << 200
+_big_q = st.builds(
+    Fraction, st.integers(min_value=-_BIG, max_value=_BIG), st.integers(min_value=1, max_value=_BIG)
+)
+_big_vec = st.tuples(_big_q, _big_q, _big_q)
+_small = st.integers(min_value=-3, max_value=3)
+
+
+@st.composite
+def planted_sets(draw, max_n=16):
+    """3D sets of up to max_n points: a planted coplanar cluster of 4-8 points, a
+    collinear run that may start on the cluster, and free points, all at large
+    coordinates."""
+    coords: list = []
+
+    def add(c):
+        if c not in coords and len(coords) < max_n:
+            coords.append(c)
+
+    o, u, v = draw(_big_vec), draw(_big_vec), draw(_big_vec)
+    for s, t in draw(st.lists(st.tuples(_small, _small), min_size=0, max_size=8, unique=True)):
+        add(tuple(a + s * du + t * dv for a, du, dv in zip(o, u, v)))
+    start = coords[0] if coords and draw(st.booleans()) else draw(_big_vec)
+    w = draw(_big_vec)
+    for t in draw(st.lists(_small, min_size=0, max_size=6, unique=True)):
+        add(tuple(a + t * dw for a, dw in zip(start, w)))
+    for c in draw(st.lists(_big_vec, min_size=0, max_size=6)):
+        add(c)
+    if len(coords) < 3:
+        coords += [c for c in draw(st.lists(_big_vec, min_size=3, max_size=3, unique=True)) if c not in coords]
+    return PointSet([affine3(*c) for c in coords[:max_n]], label="planted")
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(planted_sets())
+def test_plane_kernel_matches_naive_oracle(P):
+    naive = naive_plane_sets(P)
+    if not naive:
+        with pytest.raises(DegenerateInputError):
+            _plane_groups(P)
+        with pytest.raises(DegenerateInputError):
+            plane_summary(P)
+        return
+    groups = _plane_groups(P)
+    assert {frozenset(members) for members in groups.values()} == naive
+    for key, members in groups.items():
+        assert list(members) == sorted(members)
+        a, b = members[:2]
+        c = next(c for c in members[2:] if not collinear(P[a], P[b], P[c]))
+        assert key == plane_key(int_hom(P[a]), int_hom(P[b]), int_hom(P[c]))
+    ps = plane_summary(P)
+    assert ps.plane_counts == naive_plane_counts(P)
+    assert ps.max_coplanar == max(len(m) for m in naive)
+    for plane, members in ps.plane_points.items():
+        assert members == tuple(i for i in range(len(P)) if incident(plane, P[i]))
+
+
+@settings(max_examples=15, deadline=None)
+@given(_big_vec, _big_vec, st.lists(_small, min_size=3, max_size=8, unique=True))
+def test_plane_kernel_rejects_collinear_large_coordinates(o, w, ts):
+    if not any(w):
+        w = (Fraction(1), Fraction(0), Fraction(0))
+    P = PointSet([affine3(*(a + t * d for a, d in zip(o, w))) for t in ts])
+    with pytest.raises(DegenerateInputError):
+        plane_summary(P)
 
 
 # --- projection ----------------------------------------------------------

@@ -6,10 +6,14 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordlines import (
+    PointSet,
     SearchConfig,
     UsageError,
+    affine3,
     gen_near_coplanar,
     gen_random,
     gen_two_skew,
@@ -18,7 +22,9 @@ from ordlines import (
     span_summary,
     write_pointset,
 )
-from ordlines.search import _exp_neg
+from ordlines.geometry import int_hom, plucker_key
+from ordlines.search import _breaks_cap, _exp_neg, _LineCounts
+from conftest import naive_plane_sets
 
 
 def test_config_validation():
@@ -136,6 +142,77 @@ def test_exp_surrogate_tracks_exp():
         # chords over a convex curve overshoot by at most h^2/8 ~ 0.032
         assert abs(float(value) - math.exp(-k / 20)) < 0.035
         prev = value
+
+
+# --- incremental line counts and the cap check ----------------------------
+
+_grid = st.integers(min_value=-2, max_value=2)
+_grid_point = st.tuples(_grid, _grid, _grid)
+
+
+def _line_state(points) -> tuple[int, int, dict[int, int]]:
+    """(ordinary, lines, t) of a point list, from span_summary."""
+    s = span_summary(PointSet([affine3(*c) for c in points]))
+    return s.ordinary, s.num_lines, s.t
+
+
+def _state_of(lines: _LineCounts) -> tuple[int, int, dict[int, int]]:
+    """The same triple from the incremental state: a key hit by C(k,2) pairs is a k-point line."""
+    t: dict[int, int] = {}
+    for c in lines.pairs.values():
+        k = next(k for k in range(2, 200) if k * (k - 1) // 2 == c)
+        t[k] = t.get(k, 0) + 1
+    return lines.ordinary, lines.num_lines, dict(sorted(t.items()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_incremental_line_counts_match_span_summary(data):
+    """Points on the 5x5x5 grid, so moves often make and break lines of 3 or more;
+    every other step is either a snap onto a spanned line or an undo."""
+    points = data.draw(st.lists(_grid_point, min_size=4, max_size=12, unique=True))
+    homs = [int_hom(affine3(*c)) for c in points]
+    lines = _LineCounts(homs)
+    assert _state_of(lines) == _line_state(points)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=12))):
+        i = data.draw(st.integers(min_value=0, max_value=len(points) - 1))
+        kind = data.draw(st.sampled_from(["random", "snap", "undo"]))
+        if kind == "snap":
+            j, k = data.draw(st.lists(
+                st.sampled_from([x for x in range(len(points)) if x != i]),
+                min_size=2, max_size=2, unique=True,
+            ))
+            t = data.draw(st.sampled_from([-1, 2, Fraction(1, 2), 3]))
+            new = tuple(Fraction(a) + t * (b - a) for a, b in zip(points[j], points[k]))
+        else:
+            new = data.draw(_grid_point)
+        if new in points:
+            continue
+        before = (dict(lines.pairs), lines.ordinary, [list(row) for row in lines.keys])
+        old_point, old_hom = points[i], homs[i]
+        points[i], homs[i] = new, int_hom(affine3(*new))
+        new_keys = [None if j == i else plucker_key(homs[i], h) for j, h in enumerate(homs)]
+        old_row = lines.replace(i, new_keys)
+        assert _state_of(lines) == _line_state(points)
+        if kind == "undo":
+            points[i], homs[i] = old_point, old_hom
+            lines.replace(i, old_row)
+            assert (lines.pairs, lines.ordinary, lines.keys) == before
+            assert _state_of(lines) == _line_state(points)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_grid_point, min_size=4, max_size=12, unique=True), st.data())
+def test_cap_check_matches_naive_heaviest_plane(coords, data):
+    P = PointSet([affine3(*c) for c in coords])
+    planes = naive_plane_sets(P)
+    if not planes:
+        return  # all collinear: no plane, and the annealer never asks
+    moved = data.draw(st.integers(min_value=0, max_value=len(P) - 1))
+    heaviest = max(len(s) for s in planes if moved in s)
+    homs = [int_hom(p) for p in P]
+    assert _breaks_cap(homs, moved, heaviest - 1)
+    assert not _breaks_cap(homs, moved, heaviest)
 
 
 # --- golden runs ------------------------------------------------------------
