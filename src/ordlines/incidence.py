@@ -251,8 +251,8 @@ def _anchor_planes(
         else:
             members.append(j)
     dirs = list(classes)
-    # A plane's classes are all met paired with its first class, so only those
-    # pairs extend its bundle.
+    # Each class of a plane is met paired with the plane's first class, so
+    # only those pairs add a class to its bundle.
     bundles: dict[tuple[int, ...], list[int]] = {}
     for a in range(len(dirs) - 1):
         da = dirs[a]

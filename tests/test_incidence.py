@@ -199,7 +199,7 @@ def planted_sets(draw, max_n=16):
             coords.append(c)
 
     o, u, v = draw(_big_vec), draw(_big_vec), draw(_big_vec)
-    for s, t in draw(st.lists(st.tuples(_small, _small), min_size=0, max_size=8, unique=True)):
+    for s, t in draw(st.lists(st.tuples(_small, _small), min_size=4, max_size=8, unique=True)):
         add(tuple(a + s * du + t * dv for a, du, dv in zip(o, u, v)))
     start = coords[0] if coords and draw(st.booleans()) else draw(_big_vec)
     w = draw(_big_vec)
@@ -207,9 +207,9 @@ def planted_sets(draw, max_n=16):
         add(tuple(a + t * dw for a, dw in zip(start, w)))
     for c in draw(st.lists(_big_vec, min_size=0, max_size=6)):
         add(c)
-    if len(coords) < 3:
-        coords += [c for c in draw(st.lists(_big_vec, min_size=3, max_size=3, unique=True)) if c not in coords]
-    return PointSet([affine3(*c) for c in coords[:max_n]], label="planted")
+    while len(coords) < 3:  # degenerate draws (zero spanning vectors) can collapse the set
+        add(draw(_big_vec))
+    return PointSet([affine3(*c) for c in coords], label="planted")
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -168,8 +168,9 @@ def _state_of(lines: _LineCounts) -> tuple[int, int, dict[int, int]]:
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_incremental_line_counts_match_span_summary(data):
-    """Points on the 5x5x5 grid, so moves often make and break lines of 3 or more;
-    every other step is either a snap onto a spanned line or an undo."""
+    """Points on the 5x5x5 grid, so moves often make and break lines of 3 or more.
+    Each step moves a point to a grid point or snaps it onto the line through two
+    others; an undo step then moves it back, as a rejected proposal does."""
     points = data.draw(st.lists(_grid_point, min_size=4, max_size=12, unique=True))
     homs = [int_hom(affine3(*c)) for c in points]
     lines = _LineCounts(homs)
