@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import DomainError, UsageError
-from .geometry import CanonLine2, CanonLine3, Kind, Point, canon_line, coplanar, incident
+from .geometry import CanonLine2, CanonLine3, Kind, Point, canon_line, incident, skew
 from .incidence import PlaneSummary, PointSet, ordinary_lines, plane_summary, span_summary
 
 __all__ = [
@@ -159,9 +159,7 @@ def verify_skew_bound(P: PointSet, line1: CanonLine3, line2: CanonLine3) -> Skew
     skew lines."""
     if P.kind is not Kind.AFFINE3:
         raise UsageError("verify_skew_bound needs a 3D affine set")
-    s1, t1 = line1.spans
-    s2, t2 = line2.spans
-    if coplanar(s1, t1, s2, t2):
+    if not skew(line1, line2):
         raise UsageError("the two lines are coplanar, not skew")
     on1 = sum(1 for p in P if incident(line1, p))
     on2 = sum(1 for p in P if incident(line2, p))

@@ -35,9 +35,10 @@ from .constructions import (
     gen_two_skew,
 )
 from .errors import OrdlinesError, ParseError, UsageError
-from .geometry import Kind, canon_line, coplanar, make_point
+from .geometry import CanonLine3, Kind, canon_line, make_point, skew
 from .incidence import (
     PointSet,
+    _line_groups,
     image_point_set,
     kelly_trace,
     plane_summary,
@@ -239,19 +240,11 @@ def _parse_indices(text: str, n: int, name: str) -> tuple[int, int]:
 def _heaviest_skew_pair(ps: PointSet):
     if ps.kind is not Kind.AFFINE3:
         raise UsageError("skew lines need a 3D affine set")
-    groups: dict = {}
-    for i in range(len(ps) - 1):
-        for j in range(i + 1, len(ps)):
-            groups.setdefault(canon_line(ps[i], ps[j]), set()).update((i, j))
-    by_weight = sorted(
-        groups.items(), key=lambda kv: (-len(kv[1]), kv[0].sort_key())
-    )
-    first = by_weight[0][0]
-    s1, t1 = first.spans
-    for line, _ in by_weight[1:]:
-        s2, t2 = line.spans
-        if not coplanar(s1, t1, s2, t2):
-            return first, line
+    groups = _line_groups(ps)
+    by_weight = [CanonLine3(k) for k in sorted(groups, key=lambda k: (-len(groups[k]), k))]
+    for line in by_weight[1:]:
+        if skew(by_weight[0], line):
+            return by_weight[0], line
     raise UsageError("no pair of skew spanned lines in this set")
 
 

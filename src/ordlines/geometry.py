@@ -19,7 +19,7 @@ Normalization conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -40,6 +40,7 @@ __all__ = [
     "canon_line",
     "canon_plane",
     "incident",
+    "skew",
 ]
 
 
@@ -183,19 +184,14 @@ def int_hom(p: Point) -> tuple[int, ...]:
 
 def primitive_signed(v: tuple[int, ...]) -> tuple[int, ...]:
     """Divide out the content and make the first nonzero entry positive."""
-    g = 0
-    for x in v:
-        g = math.gcd(g, x)
+    g = math.gcd(*v)
     if g == 0:
         raise DegenerateInputError("zero coefficient vector")
     if g != 1:
-        v = tuple(x // g for x in v)
+        v = tuple([x // g for x in v])
     for x in v:
-        if x > 0:
-            return v
-        if x < 0:
-            return tuple(-y for y in v)
-    raise DegenerateInputError("zero coefficient vector")
+        if x:
+            return v if x > 0 else tuple([-y for y in v])
 
 
 def cross_key(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -273,14 +269,14 @@ class CanonLine2:
 
 @dataclass(frozen=True)
 class CanonLine3:
-    """Canonical Plücker 6-vector of a spatial line, plus two cached spanning points.
+    """Canonical Plücker 6-vector (p01, p02, p03, p12, p13, p23) of a spatial line.
 
-    Equality and hashing use only the 6-vector, so representatives built from any
-    two distinct points of the same line coincide.
+    The vector is the whole line: built from any two distinct points of it, the
+    representative is the same, and incidence and skewness are read from the
+    vector alone.
     """
 
     plucker: tuple[int, ...]
-    spans: tuple = field(compare=False, repr=False, default=())
 
     def __post_init__(self):
         p01, p02, p03, p12, p13, p23 = self.plucker
@@ -312,7 +308,7 @@ def canon_line(p: Point, q: Point) -> CanonLine2 | CanonLine3:
     if p == q:
         raise DegenerateInputError("canon_line needs two distinct points")
     if p.kind is Kind.AFFINE3:
-        return CanonLine3(plucker_key(int_hom(p), int_hom(q)), spans=(p, q))
+        return CanonLine3(plucker_key(int_hom(p), int_hom(q)))
     if p.is_rational:
         return CanonLine2(cross_key(int_hom(p), int_hom(q)))
     a, b = _hom3(p), _hom3(q)
@@ -338,8 +334,16 @@ def incident(obj: CanonLine2 | CanonLine3 | CanonPlane, p: Point) -> bool:
     if isinstance(obj, CanonLine3):
         if p.kind is not Kind.AFFINE3:
             raise UsageError("CanonLine3 incidence needs a 3D point")
-        s, t = obj.spans
-        return collinear(s, t, p)
+        # x is on the line iff every 3x3 minor of the rows (a, b, x) vanishes,
+        # where a and b span it: x_i p_jk - x_j p_ik + x_k p_ij for i < j < k.
+        x0, x1, x2, x3 = int_hom(p)
+        p01, p02, p03, p12, p13, p23 = obj.plucker
+        return (
+            x0 * p12 - x1 * p02 + x2 * p01 == 0
+            and x0 * p13 - x1 * p03 + x3 * p01 == 0
+            and x0 * p23 - x2 * p03 + x3 * p02 == 0
+            and x1 * p23 - x2 * p13 + x3 * p12 == 0
+        )
     if isinstance(obj, CanonPlane):
         if p.kind is not Kind.AFFINE3:
             raise UsageError("CanonPlane incidence needs a 3D point")
@@ -347,3 +351,13 @@ def incident(obj: CanonLine2 | CanonLine3 | CanonPlane, p: Point) -> bool:
         a, b, c, d = obj.vector
         return a * x + b * y + c * z + d == 0
     raise UsageError(f"incident: unsupported object {type(obj).__name__}")
+
+
+def skew(l1: CanonLine3, l2: CanonLine3) -> bool:
+    """True iff two spatial lines neither meet nor are parallel: their reciprocal
+    Plücker product is nonzero."""
+    if not (isinstance(l1, CanonLine3) and isinstance(l2, CanonLine3)):
+        raise UsageError("skew needs two spatial lines")
+    p01, p02, p03, p12, p13, p23 = l1.plucker
+    q01, q02, q03, q12, q13, q23 = l2.plucker
+    return p01 * q23 - p02 * q13 + p03 * q12 + p12 * q03 - p13 * q02 + p23 * q01 != 0

@@ -31,7 +31,6 @@ from .geometry import (
     Kind,
     Point,
     canon_line,
-    collinear,
     cross_key,
     direction_key,
     incident,
@@ -206,11 +205,10 @@ def ordinary_lines(P: PointSet) -> list[CanonLine2 | CanonLine3]:
     """The spanned lines containing exactly two points of P, canonically sorted."""
     if len(P) < 2:
         raise UsageError("ordinary_lines needs at least 2 points")
-    out = []
-    for g in _line_groups(P).values():
-        if len(g) == 2:
-            i, j = sorted(g)
-            out.append(canon_line(P[i], P[j]))
+    out = [key for key, g in _line_groups(P).items() if len(g) == 2]
+    if P.field_name == "Q":  # rational keys are bare tuples; the Qw path's are lines
+        as_line = CanonLine3 if P.kind is Kind.AFFINE3 else CanonLine2
+        out = [as_line(key) for key in out]
     out.sort(key=lambda line: line.sort_key())
     return out
 
@@ -359,23 +357,15 @@ def kelly_trace(P: PointSet, center_index: int) -> KellyTraceReport:
             continue
         report.l1_size += 1
         # The plane through the center and this image line meets P exactly in
-        # the center plus the preimages, so incidence tests can stay local.
-        members: list[int] = []
+        # the center plus the preimages, so the lines of that local set (with
+        # the center at index 0) are the lines of P in the plane.
+        local = [center]
         for k in g:
-            members.extend(img.groups[k][1])
-        members.sort()
+            local.extend(P[i] for i in img.groups[k][1])
         found_here = 0
-        for a in range(len(members) - 1):
-            i = members[a]
-            for b in range(a + 1, len(members)):
-                j = members[b]
-                if collinear(center, P[i], P[j]):
-                    continue
-                if any(
-                    collinear(P[i], P[j], P[k]) for k in members if k != i and k != j
-                ):
-                    continue
-                found.add(canon_line(P[i], P[j]))
+        for key, members in _line_groups(PointSet(local)).items():
+            if len(members) == 2 and 0 not in members:
+                found.add(CanonLine3(key))
                 found_here += 1
         if found_here == 0:
             raise InvariantViolationError(

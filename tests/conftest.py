@@ -1,4 +1,5 @@
-"""Shared test helpers: naive oracles and random rational affine maps.
+"""Shared test helpers: naive oracles, random rational affine maps, and
+hypothesis strategies for large rational coordinates.
 
 The oracles classify lines and planes by direct predicate testing over raw
 point triples and quadruples, with no canonical hashing, so they are slow and
@@ -9,8 +10,19 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
+
+from hypothesis import strategies as st
 
 from ordlines import PointSet, affine3, canon_plane, collinear, coplanar
+
+# Rationals whose numerators and denominators reach about 200 bits.
+_BIG = 1 << 200
+big_rational = st.builds(
+    Fraction, st.integers(min_value=-_BIG, max_value=_BIG), st.integers(min_value=1, max_value=_BIG)
+)
+big_vec = st.tuples(big_rational, big_rational, big_rational)
+small_int = st.integers(min_value=-3, max_value=3)
 
 acceptance_lines: list[str] = []
 
@@ -76,6 +88,36 @@ def naive_plane_counts(P: PointSet) -> dict:
                 break
         counts[named] = len(members)
     return counts
+
+
+def naive_kelly_found(P: PointSet, center: int) -> tuple[set[frozenset[int]], int]:
+    """What the projection from P[center] must reveal, by direct predicate tests.
+
+    A plane through the center qualifies when every line through the center in
+    it holds at least two further points of P (no unique-preimage image point).
+    Returns the index pairs spanning an ordinary line of P that misses the
+    center and lies in a qualifying plane, and the number of qualifying planes.
+    """
+    c = P[center]
+    others = [k for k in range(len(P)) if k != center]
+    planes = {
+        frozenset(k for k in others if coplanar(c, P[i], P[j], P[k]))
+        for i, j in combinations(others, 2)
+        if not collinear(c, P[i], P[j])
+    }
+    qualifying = [
+        plane
+        for plane in planes
+        if all(sum(1 for m in plane if collinear(c, P[k], P[m])) >= 2 for k in plane)
+    ]
+    found = set()
+    for plane in qualifying:
+        for i, j in combinations(sorted(plane), 2):
+            if collinear(c, P[i], P[j]):
+                continue
+            if not any(collinear(P[i], P[j], P[k]) for k in range(len(P)) if k not in (i, j)):
+                found.add(frozenset((i, j)))
+    return found, len(qualifying)
 
 
 def rand_fraction(rng: random.Random, bound: int = 10) -> Fraction:

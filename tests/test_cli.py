@@ -231,3 +231,45 @@ def test_search_command(runner, tmp_path):
         ],
     )
     assert result.exit_code != 0
+
+
+_FUZZ_FILES = {
+    "empty": "",
+    "malformed": "dim=3 kind=affine field=Q\n1 2 3\n1 2 x\n",
+    "one-point-2d": "dim=2 kind=affine field=Q\n1 2\n",
+    "one-point-3d": "dim=3 kind=affine field=Q\n1 2 3\n",
+    "collinear-2d": "dim=2 kind=affine field=Q\n1 0\n2 0\n3 0\n",
+    "collinear-3d": "dim=3 kind=affine field=Q\n1 1 1\n2 2 2\n3 3 3\n4 4 4\n",
+    "wrong-kind": "dim=2 kind=projective field=Q\n1 0 0\n0 1 0\n0 0 1\n1 1 1\n",
+}
+
+_FUZZ_COMMANDS = {
+    "stats": ["stats", "{f}"],
+    "stats-planes": ["stats", "--planes", "{f}"],
+    "project": ["project", "{f}", "--center", "0"],
+    "project-trace": ["project", "{f}", "--center", "0", "--trace"],
+    "sylvester-gallai": ["verify", "sylvester-gallai", "{f}"],
+    "skew-bound": ["verify", "skew-bound", "{f}"],
+    "skew-bound-lines": ["verify", "skew-bound", "{f}", "--line1", "0,1", "--line2", "1,2"],
+    "almost-coplanar": ["verify", "almost-coplanar", "{f}", "--k", "1"],
+    "concurrent": ["verify", "concurrent", "{f}", "--apex", "0,0"],
+    "search-init": [
+        "search", "--n", "4", "--alpha", "1", "--iters", "3", "--init", "{f}", "-o", "{out}",
+    ],
+}
+
+
+@pytest.mark.parametrize("file_name", sorted(_FUZZ_FILES))
+@pytest.mark.parametrize("command", sorted(_FUZZ_COMMANDS))
+def test_cli_fuzz_never_raises(runner, tmp_path, command, file_name):
+    path = tmp_path / "input.txt"
+    path.write_text(_FUZZ_FILES[file_name], encoding="utf-8")
+    args = [
+        a.format(f=str(path), out=str(tmp_path / "best.txt")) for a in _FUZZ_COMMANDS[command]
+    ]
+    result = runner.invoke(main, args)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        f"{type(result.exception).__name__}: {result.exception}"
+    )
+    if result.exit_code == 1:
+        assert "Error:" in _everything(result)

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ordlines import (
     CanonLine3,
@@ -21,8 +23,10 @@ from ordlines import (
     incident,
     make_point,
     projective2,
+    skew,
 )
-from conftest import rand_fraction
+from ordlines.geometry import int_hom, plucker_key
+from conftest import big_vec, rand_fraction
 
 
 def _rand_affine(rng, dim):
@@ -199,6 +203,62 @@ def test_incident_agrees_with_predicates():
         for probe in (p, q, r, _rand_affine(rng, 3)):
             assert incident(line, probe) == collinear(p, q, probe)
             assert incident(plane, probe) == coplanar(p, q, r, probe)
+
+
+_nonzero = st.sampled_from([-3, -2, -1, 1, 2, 3])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    big_vec,
+    big_vec,
+    big_vec,
+    big_vec,
+    st.booleans(),
+    st.sampled_from([None, 0, 1, 2]),
+    st.sampled_from(["free", "meeting", "parallel"]),
+    _nonzero,
+    _nonzero,
+)
+def test_plucker_incidence_and_skew_match_fraction_predicates(
+    a, b, c, d, through_origin, axis, relation, s, t
+):
+    """A line is only its Plücker key: incidence and skewness from a bare key agree
+    with the Fraction predicates at about 200-bit coordinates.
+
+    Lines through the origin or parallel to an axis zero some Plücker
+    coordinates, so that single incidence identities vanish identically; the
+    probes off the line lie in the planes through it that each identity
+    describes (through the origin, or parallel to an axis)."""
+    if through_origin:
+        a = (Fraction(0),) * 3
+    if axis is not None:
+        b = tuple(x + (s if k == axis else 0) for k, x in enumerate(a))
+    p, q, r = affine3(*a), affine3(*b), affine3(*c)
+    assume(p != q)
+    line = CanonLine3(plucker_key(int_hom(p), int_hom(q)))
+    on = tuple(x + s * (y - x) for x, y in zip(a, b))
+    probes = [p, q, r, affine3(*d), affine3(*on), affine3(*(2 * x for x in on))]
+    probes += [affine3(*(x + (k == j) for j, x in enumerate(on))) for k in range(3)]
+    for probe in probes:
+        assert incident(line, probe) == collinear(p, q, probe)
+    if relation == "meeting":  # through a point of the first line
+        d = tuple(x + s * (y - x) + t * (z - x) for x, y, z in zip(a, b, c))
+    elif relation == "parallel":
+        d = tuple(z + s * (y - x) for x, y, z in zip(a, b, c))
+    u = affine3(*d)
+    assume(r != u)
+    other = CanonLine3(plucker_key(int_hom(r), int_hom(u)))
+    assert skew(line, other) == (not coplanar(p, q, r, u))
+    assert skew(other, line) == skew(line, other)
+    assert not skew(line, line)
+
+
+def test_skew_needs_spatial_lines():
+    line2 = canon_line(affine2(0, 0), affine2(1, 1))
+    line3 = canon_line(affine3(0, 0, 0), affine3(1, 1, 1))
+    with pytest.raises(UsageError):
+        skew(line2, line3)
 
 
 def test_incident_2d_line():

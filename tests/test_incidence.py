@@ -15,6 +15,7 @@ from ordlines import (
     UsageError,
     affine2,
     affine3,
+    canon_line,
     collinear,
     coplanar,
     gen_hesse,
@@ -33,7 +34,15 @@ from ordlines import (
 )
 from ordlines.geometry import int_hom, plane_key
 from ordlines.incidence import _plane_groups
-from conftest import naive_line_sets, naive_plane_counts, naive_plane_sets, naive_span
+from conftest import (
+    big_vec,
+    naive_kelly_found,
+    naive_line_sets,
+    naive_plane_counts,
+    naive_plane_sets,
+    naive_span,
+    small_int,
+)
 
 
 def axes_seven() -> PointSet:
@@ -178,37 +187,30 @@ def test_plane_oracle_equivalence_small_sets():
         assert ps.plane_counts == naive_plane_counts(P), P.label
 
 
-# Coordinates whose numerators and denominators reach about 200 bits.
-_BIG = 1 << 200
-_big_q = st.builds(
-    Fraction, st.integers(min_value=-_BIG, max_value=_BIG), st.integers(min_value=1, max_value=_BIG)
-)
-_big_vec = st.tuples(_big_q, _big_q, _big_q)
-_small = st.integers(min_value=-3, max_value=3)
-
-
 @st.composite
-def planted_sets(draw, max_n=16):
+def planted_sets(draw, max_n=16, run_through_first=False):
     """3D sets of up to max_n points: a planted coplanar cluster of 4-8 points, a
-    collinear run that may start on the cluster, and free points, all at large
-    coordinates."""
+    collinear run that may start on the cluster (always through point 0 when
+    ``run_through_first``), and free points, all at large coordinates."""
     coords: list = []
 
     def add(c):
         if c not in coords and len(coords) < max_n:
             coords.append(c)
 
-    o, u, v = draw(_big_vec), draw(_big_vec), draw(_big_vec)
-    for s, t in draw(st.lists(st.tuples(_small, _small), min_size=4, max_size=8, unique=True)):
+    o, u, v = draw(big_vec), draw(big_vec), draw(big_vec)
+    offsets = st.lists(st.tuples(small_int, small_int), min_size=4, max_size=8, unique=True)
+    for s, t in draw(offsets):
         add(tuple(a + s * du + t * dv for a, du, dv in zip(o, u, v)))
-    start = coords[0] if coords and draw(st.booleans()) else draw(_big_vec)
-    w = draw(_big_vec)
-    for t in draw(st.lists(_small, min_size=0, max_size=6, unique=True)):
+    on_cluster = run_through_first or draw(st.booleans())
+    start = coords[0] if coords and on_cluster else draw(big_vec)
+    w = draw(big_vec)
+    for t in draw(st.lists(small_int, min_size=0, max_size=6, unique=True)):
         add(tuple(a + t * dw for a, dw in zip(start, w)))
-    for c in draw(st.lists(_big_vec, min_size=0, max_size=6)):
+    for c in draw(st.lists(big_vec, min_size=0, max_size=6)):
         add(c)
     while len(coords) < 3:  # degenerate draws (zero spanning vectors) can collapse the set
-        add(draw(_big_vec))
+        add(draw(big_vec))
     return PointSet([affine3(*c) for c in coords], label="planted")
 
 
@@ -237,7 +239,7 @@ def test_plane_kernel_matches_naive_oracle(P):
 
 
 @settings(max_examples=15, deadline=None)
-@given(_big_vec, _big_vec, st.lists(_small, min_size=3, max_size=8, unique=True))
+@given(big_vec, big_vec, st.lists(small_int, min_size=3, max_size=8, unique=True))
 def test_plane_kernel_rejects_collinear_large_coordinates(o, w, ts):
     if not any(w):
         w = (Fraction(1), Fraction(0), Fraction(0))
@@ -366,3 +368,25 @@ def test_kelly_random_inputs_keep_invariants():
 def test_kelly_needs_rational_input():
     with pytest.raises(UsageError):
         kelly_trace(gen_hesse(), 0)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(planted_sets(run_through_first=True))
+def test_kelly_trace_matches_naive_oracle(P):
+    found, l1_size = naive_kelly_found(P, 0)
+    rep = kelly_trace(P, 0)
+    assert rep.l1_size == l1_size
+    assert rep.found_ordinary == sorted(
+        (canon_line(P[i], P[j]) for i, j in map(sorted, found)), key=lambda line: line.sort_key()
+    )
+
+
+@pytest.mark.parametrize("center", [4, 13])  # a face centre, the box centre
+def test_kelly_trace_matches_naive_oracle_on_a_box(center):
+    # The hunted planes of a 3x3x3 box hold lines with three points, none of
+    # which may be recorded as ordinary.
+    P = PointSet([affine3(x, y, z) for x in range(3) for y in range(3) for z in range(3)])
+    found, l1_size = naive_kelly_found(P, center)
+    rep = kelly_trace(P, center)
+    assert rep.l1_size == l1_size > 0
+    assert set(rep.found_ordinary) == {canon_line(P[i], P[j]) for i, j in map(sorted, found)}
