@@ -1,6 +1,7 @@
 """Spanned-line/plane summaries against naive oracles, plus projection and the
 center-avoiding ordinary-line hunt."""
 
+import hashlib
 import random
 from fractions import Fraction
 from math import comb
@@ -18,6 +19,7 @@ from ordlines import (
     canon_line,
     collinear,
     coplanar,
+    gen_grid2d,
     gen_hesse,
     gen_near_coplanar,
     gen_random,
@@ -390,3 +392,41 @@ def test_kelly_trace_matches_naive_oracle_on_a_box(center):
     rep = kelly_trace(P, center)
     assert rep.l1_size == l1_size > 0
     assert set(rep.found_ordinary) == {canon_line(P[i], P[j]) for i, j in map(sorted, found)}
+
+
+# --- golden line counts -----------------------------------------------------
+#
+# Recorded once and never re-pinned: a line-kernel change that moves any of
+# these values has changed a count, which is a bug.
+
+
+def _sha256_of(values) -> str:
+    return hashlib.sha256(repr(values).encode("utf-8")).hexdigest()
+
+
+def test_golden_grid_span_summary():
+    s = span_summary(gen_grid2d(20, 20))
+    assert s.t == {
+        2: 29732, 3: 4332, 4: 1396, 5: 476, 6: 168, 7: 196, 8: 20, 9: 20, 10: 92,
+        11: 4, 12: 4, 13: 4, 14: 4, 15: 4, 16: 4, 17: 4, 18: 4, 19: 4, 20: 42,
+    }
+    assert (s.num_lines, s.ordinary, s.max_collinear, s.n) == (36510, 29732, 20, 400)
+
+
+def test_golden_random_3d_lines():
+    P = gen_random(200, 3, 50, seed=7)
+    s = span_summary(P)
+    assert (s.t, s.num_lines, s.max_collinear) == ({2: 19900}, 19900, 2)
+    lines = ordinary_lines(P)
+    assert len(lines) == 19900
+    assert _sha256_of([line.plucker for line in lines]) == (
+        "4cfc80b9480b3eca9c820a19bb96b670ba91677487e306a6c4ac365ba8c30be1"
+    )
+
+
+def test_golden_random_2d_degrees():
+    degrees = point_degrees(gen_random(200, 2, 50, seed=7))
+    assert (len(degrees), sum(degrees), max(degrees)) == (200, 39788, 199)
+    assert _sha256_of(degrees) == (
+        "49b4a2da08f0979a9fdda550bd10c3a2eca218c9b20a3143220f3825cfc1f4b5"
+    )
