@@ -239,6 +239,19 @@ def direction_key(anchor: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...
     )
 
 
+def _plucker_incident(plucker: tuple[int, ...], x: tuple[int, ...]) -> bool:
+    """Whether the integer homogeneous 4-tuple x is on the line: every 3x3 minor of
+    the rows (a, b, x) vanishes, where a and b span it: x_i p_jk - x_j p_ik + x_k p_ij."""
+    x0, x1, x2, x3 = x
+    p01, p02, p03, p12, p13, p23 = plucker
+    return (
+        x0 * p12 - x1 * p02 + x2 * p01 == 0
+        and x0 * p13 - x1 * p03 + x3 * p01 == 0
+        and x0 * p23 - x2 * p03 + x3 * p02 == 0
+        and x1 * p23 - x2 * p13 + x3 * p12 == 0
+    )
+
+
 def _leading_one(v: tuple) -> tuple:
     for c in v:
         if c != 0:
@@ -334,16 +347,7 @@ def incident(obj: CanonLine2 | CanonLine3 | CanonPlane, p: Point) -> bool:
     if isinstance(obj, CanonLine3):
         if p.kind is not Kind.AFFINE3:
             raise UsageError("CanonLine3 incidence needs a 3D point")
-        # x is on the line iff every 3x3 minor of the rows (a, b, x) vanishes,
-        # where a and b span it: x_i p_jk - x_j p_ik + x_k p_ij for i < j < k.
-        x0, x1, x2, x3 = int_hom(p)
-        p01, p02, p03, p12, p13, p23 = obj.plucker
-        return (
-            x0 * p12 - x1 * p02 + x2 * p01 == 0
-            and x0 * p13 - x1 * p03 + x3 * p01 == 0
-            and x0 * p23 - x2 * p03 + x3 * p02 == 0
-            and x1 * p23 - x2 * p13 + x3 * p12 == 0
-        )
+        return _plucker_incident(obj.plucker, int_hom(p))
     if isinstance(obj, CanonPlane):
         if p.kind is not Kind.AFFINE3:
             raise UsageError("CanonPlane incidence needs a 3D point")

@@ -1,13 +1,14 @@
 """Spanned lines and planes of a finite point set, and radial projections.
 
-Lines come from one trick: group the C(n,2) point pairs by the canonical key
-of the line they span. Each group then holds exactly the indices of the set's
-points on that line, so histograms, degrees, and ordinary-line lists all fall
-out of one dictionary pass. Planes come from one kernel that works per anchor
-point: the other points are grouped by their direction from the anchor, and
-pairs of direction classes by the normal they span, so each group is the
-anchor's share of one plane. A plane's first anchor (its smallest index) sees
-all of its points, which gives the exact point set of every spanned plane
+Lines and planes come from kernels that work per anchor point. From anchor i,
+the later points fall into one class per line through i. A k-point line gives
+classes of sizes k-1, ..., 1 at its first k-1 points, so with h[s] the number
+of (anchor, class) pairs of size s, the line histogram is t[k] = h[k-1] - h[k]:
+it needs one anchor's classes at a time, never a store of all lines. A line's
+first anchor (its smallest index) sees all of its points, which gives the exact
+point set of every spanned line for degrees and ordinary-line lists. Planes
+group pairs of one anchor's direction classes by the normal they span, so each
+group is the anchor's share of one plane, again complete at its first anchor,
 without touching raw triples.
 
 Projections from a set point are kept projective: the image of q under
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 from math import comb
 
 from .errors import DegenerateInputError, InvariantViolationError, UsageError
@@ -30,10 +32,10 @@ from .geometry import (
     CanonPlane,
     Kind,
     Point,
+    _plucker_incident,
     canon_line,
     cross_key,
     direction_key,
-    incident,
     int_hom,
     plucker_key,
     primitive_signed,
@@ -160,45 +162,59 @@ class KellyTraceReport:
     found_ordinary: list[CanonLine3]
 
 
+def _pair_keys(P: PointSet, lines: bool):
+    """The items of P and a key on two of them that names the line they span, or,
+    unless ``lines``, only the line through the first (its primitive direction
+    when that is cheaper)."""
+    if P.field_name != "Q":
+        return P.points, canon_line
+    homs = [int_hom(p) for p in P.points]
+    if P.kind is Kind.AFFINE3:
+        return homs, plucker_key if lines else direction_key
+    if P.kind is Kind.AFFINE2 and not lines:
+        return homs, lambda a, q: primitive_signed(
+            (q[0] * a[2] - a[0] * q[2], q[1] * a[2] - a[1] * q[2])
+        )
+    return homs, cross_key
+
+
 def _line_groups(P: PointSet) -> dict:
-    """Map each spanned line's canonical key to the set of incident point indices."""
-    pts = P.points
-    n = len(pts)
+    """Map each spanned line's canonical key to the sorted indices of its points.
+
+    A line is complete at its smallest-index anchor, so a key seen before is skipped.
+    """
+    items, key = _pair_keys(P, lines=True)
+    n = len(items)
     groups: dict = {}
-    if P.field_name == "Q":
-        homs = [int_hom(p) for p in pts]
-        key = plucker_key if P.kind is Kind.AFFINE3 else cross_key
-        for i in range(n - 1):
-            hi = homs[i]
-            for j in range(i + 1, n):
-                g = groups.setdefault(key(hi, homs[j]), set())
-                g.add(i)
-                g.add(j)
-    else:
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                g = groups.setdefault(canon_line(pts[i], pts[j]), set())
-                g.add(i)
-                g.add(j)
+    for i in range(n - 1):
+        classes: dict = {}
+        for j, k in enumerate(map(key, repeat(items[i]), items[i + 1 :]), i + 1):
+            if k in classes:
+                classes[k].append(j)
+            else:
+                classes[k] = [i, j]
+        for k, members in classes.items():
+            if k not in groups:
+                groups[k] = tuple(members)
     return groups
 
 
 def span_summary(P: PointSet) -> SpanSummary:
-    """Classify every spanned line of P by how many points of P it contains."""
-    if len(P) < 2:
-        raise UsageError("span_summary needs at least 2 points")
-    groups = _line_groups(P)
-    t = Counter(len(g) for g in groups.values())
+    """Classify every spanned line of P by how many points of P it contains, as
+    t[k] = h[k-1] - h[k] over the anchors' class sizes h (see the module docstring)."""
     n = len(P)
+    if n < 2:
+        raise UsageError("span_summary needs at least 2 points")
+    items, key = _pair_keys(P, lines=False)
+    h: Counter = Counter()
+    for i in range(n - 1):
+        h.update(Counter(map(key, repeat(items[i]), items[i + 1 :])).values())
+    t = {k: h[k - 1] - h[k] for k in range(2, max(h) + 2) if h[k - 1] != h[k]}
+    if min(t.values()) < 0:
+        raise InvariantViolationError("class-size histogram increases with size")
     if sum(comb(k, 2) * c for k, c in t.items()) != comb(n, 2):
         raise InvariantViolationError("line histogram does not account for every point pair")
-    return SpanSummary(
-        t=dict(sorted(t.items())),
-        num_lines=len(groups),
-        ordinary=t.get(2, 0),
-        max_collinear=max(t),
-        n=n,
-    )
+    return SpanSummary(t=t, num_lines=h[1], ordinary=t.get(2, 0), max_collinear=max(t), n=n)
 
 
 def ordinary_lines(P: PointSet) -> list[CanonLine2 | CanonLine3]:
@@ -221,11 +237,8 @@ def point_degrees(P: PointSet) -> list[int]:
     """Number of spanned lines through each point, indexed like P."""
     if len(P) < 2:
         raise UsageError("point_degrees needs at least 2 points")
-    degrees = [0] * len(P)
-    for g in _line_groups(P).values():
-        for i in g:
-            degrees[i] += 1
-    return degrees
+    degrees = Counter(chain.from_iterable(_line_groups(P).values()))
+    return [degrees[i] for i in range(len(P))]
 
 
 def _anchor_planes(
@@ -372,9 +385,10 @@ def kelly_trace(P: PointSet, center_index: int) -> KellyTraceReport:
                 "no ordinary line avoiding the center in a plane where one is guaranteed"
             )
 
+    homs = [int_hom(p) for p in P.points]
     for line in found:
-        on_line = sum(1 for p in P if incident(line, p))
-        if on_line != 2 or incident(line, center):
+        on_line = sum(1 for h in homs if _plucker_incident(line.plucker, h))
+        if on_line != 2 or _plucker_incident(line.plucker, homs[center_index]):
             raise InvariantViolationError("recorded line is not ordinary or hits the center")
     report.found_ordinary = sorted(found, key=lambda line: line.sort_key())
     if len(report.found_ordinary) < report.l1_size:

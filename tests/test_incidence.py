@@ -32,11 +32,13 @@ from ordlines import (
     plane_summary,
     point_degrees,
     project_from,
+    projective2,
     span_summary,
 )
 from ordlines.geometry import int_hom, plane_key
-from ordlines.incidence import _plane_groups
+from ordlines.incidence import _line_groups, _plane_groups
 from conftest import (
+    big_rational,
     big_vec,
     naive_kelly_found,
     naive_line_sets,
@@ -248,6 +250,66 @@ def test_plane_kernel_rejects_collinear_large_coordinates(o, w, ts):
     P = PointSet([affine3(*(a + t * d for a, d in zip(o, w))) for t in ts])
     with pytest.raises(DegenerateInputError):
         plane_summary(P)
+
+
+
+@st.composite
+def planted_plane_sets(draw, projective=False, max_n=16):
+    """2D sets of up to max_n points at large coordinates: two collinear runs
+    through one point, and free points. Projective sets also get points at
+    infinity (z = 0): three fixed ones, those of both runs, and free ones."""
+    pairs = st.tuples(big_rational, big_rational)
+    coords: list = [(1, 0, 0), (0, 1, 0), (1, 1, 0)] if projective else []
+
+    def add(c):
+        if any(c) and c not in coords and len(coords) < max_n:
+            coords.append(c)
+
+    o = draw(pairs)
+    for w in (draw(pairs), draw(pairs)):
+        for t in draw(st.lists(small_int, min_size=2, max_size=6, unique=True)):
+            add((o[0] + t * w[0], o[1] + t * w[1], 1))
+        add((*w, 0))
+    for c in draw(st.lists(pairs, min_size=1, max_size=4)):
+        add((*c, 0))
+    for c in draw(st.lists(pairs, min_size=0, max_size=4)):
+        add((*c, 1))
+    if projective:
+        pts = {projective2(*c) for c in coords}  # proportional draws collapse here
+        return PointSet(sorted(pts, key=lambda p: p.sort_key()), label="planted-projective")
+    return PointSet([affine2(x, y) for x, y, z in coords if z], label="planted-2d")
+
+
+def _assert_line_kernel_matches_naive(P):
+    naive = naive_line_sets(P)
+    s = span_summary(P)
+    assert s.t == naive_span(P)
+    assert (s.num_lines, s.max_collinear) == (len(naive), max(map(len, naive)))
+    groups = _line_groups(P)
+    assert {frozenset(members) for members in groups.values()} == naive
+    for key, members in groups.items():
+        assert list(members) == sorted(members)
+        line = canon_line(P[members[0]], P[members[1]])
+        assert key == (line.plucker if P.kind.value == "affine3" else line.vector)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(planted_sets())
+def test_line_kernel_matches_naive_oracle_3d(P):
+    _assert_line_kernel_matches_naive(P)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(planted_plane_sets().filter(lambda P: len(P) >= 2))
+def test_line_kernel_matches_naive_oracle_2d(P):
+    _assert_line_kernel_matches_naive(P)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(planted_plane_sets(projective=True))
+def test_line_kernel_matches_naive_oracle_projective(P):
+    assert sum(1 for p in P if p.coords[2] == 0) >= 3
+    _assert_line_kernel_matches_naive(P)
 
 
 # --- projection ----------------------------------------------------------
