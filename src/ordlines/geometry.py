@@ -240,8 +240,8 @@ def direction_key(anchor: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...
 
 
 def _plucker_incident(plucker: tuple[int, ...], x: tuple[int, ...]) -> bool:
-    """Whether the integer homogeneous 4-tuple x is on the line: every 3x3 minor of
-    the rows (a, b, x) vanishes, where a and b span it: x_i p_jk - x_j p_ik + x_k p_ij."""
+    """Whether the integer homogeneous 4-tuple x is on the line with this Plücker
+    vector: every minor x_i p_jk - x_j p_ik + x_k p_ij (i < j < k) vanishes."""
     x0, x1, x2, x3 = x
     p01, p02, p03, p12, p13, p23 = plucker
     return (
