@@ -35,7 +35,7 @@ from ordlines import (
     projective2,
     span_summary,
 )
-from ordlines.geometry import int_hom, plane_key
+from ordlines.geometry import Kind, int_hom, plane_key
 from ordlines.incidence import _line_groups, _plane_groups
 from conftest import (
     big_rational,
@@ -252,7 +252,6 @@ def test_plane_kernel_rejects_collinear_large_coordinates(o, w, ts):
         plane_summary(P)
 
 
-
 @st.composite
 def planted_plane_sets(draw, projective=False, max_n=16):
     """2D sets of up to max_n points at large coordinates: two collinear runs
@@ -290,7 +289,7 @@ def _assert_line_kernel_matches_naive(P):
     for key, members in groups.items():
         assert list(members) == sorted(members)
         line = canon_line(P[members[0]], P[members[1]])
-        assert key == (line.plucker if P.kind.value == "affine3" else line.vector)
+        assert key == (line.plucker if P.kind is Kind.AFFINE3 else line.vector)
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
