@@ -1,5 +1,6 @@
 """Generators: determinism, advertised counts, and the conic-plus-line model."""
 
+import hashlib
 from fractions import Fraction
 from math import comb
 
@@ -21,6 +22,7 @@ from ordlines import (
     plane_summary,
     point_degrees,
     span_summary,
+    write_pointset,
 )
 
 
@@ -162,3 +164,44 @@ def test_boroczky_rejects_odd_and_small():
         boroczky_model(5)
     with pytest.raises(UsageError):
         boroczky_model(2)
+
+
+# --- golden generator outputs ----------------------------------------------
+#
+# Recorded once and never re-pinned: a change to the heaviest-plane check that
+# moves any of these hashes has changed which draw a retry loop accepts.
+
+
+def _sha256_of(P: PointSet) -> str:
+    return hashlib.sha256(write_pointset(P).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        (0, "a875a84749639c7025eafe0398db02b8e6ab59a66147f9e32dd4e02a30fb5c86"),
+        (1, "61abcd0ae8037760d6ed62d21a0041cb48b323e857e8f4d3f732476f84b74dea"),
+    ],
+)
+def test_golden_near_coplanar(seed, digest):
+    assert _sha256_of(gen_near_coplanar(60, 5, seed)) == digest
+
+
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        (0, "fe1a09d1003f172c58a40a8245e13b9a924bdf9bb1620f54159fcb5aad552da3"),
+        (1, "1c976b65ee69f38a74a8f7a71a8afe00d4174c92d9c95a33345eaf7f8e9bfa4a"),
+    ],
+)
+def test_golden_coplanar_heavy(seed, digest):
+    assert _sha256_of(gen_coplanar_heavy(60, Fraction(1, 2), seed)) == digest
+
+
+def test_golden_near_coplanar_after_a_rejected_draw():
+    # The first draw of seed 302 puts two planar points on the y-axis, so the
+    # plane x = 0 holds the origin, both of them and the three stacked points:
+    # 6 > n - k = 5. The loop rejects it and keeps the second draw.
+    P = gen_near_coplanar(8, 3, 302)
+    assert not any(p.coords[0] == 0 and p.coords[1] != 0 for p in P)
+    assert _sha256_of(P) == "728cf295acce867f7733dbcd20ad79d8c685aee6382986aec529667ba0eff9a2"
