@@ -79,6 +79,14 @@ def _approx(x: Fraction) -> str:
     return f"{Fraction(x)} (~{float(x):.6g})"
 
 
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 @click.group()
 def main():
     """Exact arithmetic laboratory for ordinary lines and spanned planes."""
@@ -129,8 +137,7 @@ def gen(construction_arg, construction, m, n, k, alpha, seed, bound, dim, output
     else:
         ps = gen_hesse()
 
-    with open(output, "w", encoding="utf-8") as fh:
-        fh.write(write_pointset(ps))
+    _write_file(output, write_pointset(ps))
     click.echo(f"wrote {len(ps)} points ({ps.kind.value}, {ps.field_name}) to {output}")
 
 
@@ -448,8 +455,7 @@ def search(n, alpha, iters, seed, init, bound, output):
         initial=initial,
     )
     result = minimize_ordinary(config)
-    with open(output, "w", encoding="utf-8") as fh:
-        fh.write(write_pointset(result.best))
+    _write_file(output, write_pointset(result.best))
     report = {
         "params": {
             "n": n,
@@ -465,9 +471,7 @@ def search(n, alpha, iters, seed, init, bound, output):
         "trace": [[it, count] for it, count in result.trace],
         "plane_profile": [[points, ordinary] for points, ordinary in result.plane_profile],
     }
-    with open(output + ".json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    _write_file(output + ".json", json.dumps(report, indent=2) + "\n")
     click.echo(
         f"best ordinary count {result.best_count} (ratio {_approx(result.ratio)}); "
         f"set -> {output}, trace -> {output}.json"

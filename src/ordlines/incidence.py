@@ -52,6 +52,7 @@ __all__ = [
     "ordinary_lines",
     "plane_summary",
     "max_collinear",
+    "max_coplanar",
     "point_degrees",
     "project_from",
     "image_point_set",
@@ -222,15 +223,25 @@ def ordinary_lines(P: PointSet) -> list[CanonLine2 | CanonLine3]:
     if len(P) < 2:
         raise UsageError("ordinary_lines needs at least 2 points")
     out = [key for key, g in _line_groups(P).items() if len(g) == 2]
-    if P.field_name == "Q":  # rational keys are bare tuples; the Qw path's are lines
-        as_line = CanonLine3 if P.kind is Kind.AFFINE3 else CanonLine2
-        out = [as_line(key) for key in out]
-    out.sort(key=lambda line: line.sort_key())
-    return out
+    if P.field_name != "Q":  # the Qw path's keys are lines already
+        return sorted(out, key=lambda line: line.sort_key())
+    # Rational keys are bare integer tuples, which sort as their lines' sort_key does.
+    as_line = CanonLine3 if P.kind is Kind.AFFINE3 else CanonLine2
+    return [as_line(key) for key in sorted(out)]
 
 
 def max_collinear(P: PointSet) -> int:
     return span_summary(P).max_collinear
+
+
+def max_coplanar(P: PointSet) -> int:
+    """The most points of a 3D set on one spanned plane, as the heaviest plane of
+    each anchor with the later points: a plane is complete at its first point."""
+    homs = _plane_homs(P, "max_coplanar")
+    best = max(_heaviest_plane(homs, i, range(i + 1, len(homs))) for i in range(len(homs) - 2))
+    if best < 3:
+        raise DegenerateInputError("all points are collinear; spanned planes are undefined")
+    return best
 
 
 def point_degrees(P: PointSet) -> list[int]:
@@ -280,6 +291,21 @@ def _anchor_planes(
     }
 
 
+def _heaviest_plane(homs: list[tuple[int, ...]], anchor: int, others) -> int:
+    """The most points on one plane through the anchor, counting the anchor and
+    the points ``others``; 1 when ``others`` is collinear with the anchor."""
+    return 1 + max(map(len, _anchor_planes(homs, anchor, others).values()), default=0)
+
+
+def _plane_homs(P: PointSet, name: str) -> list[tuple[int, ...]]:
+    """The integer coordinates of a 3D set of at least 3 points, checked for ``name``."""
+    if P.kind is not Kind.AFFINE3:
+        raise UsageError(f"{name} needs a 3D affine set")
+    if len(P) < 3:
+        raise UsageError(f"{name} needs at least 3 points")
+    return [int_hom(p) for p in P.points]
+
+
 def _plane_groups(P: PointSet) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Map each spanned plane's key (as ``plane_key`` gives it) to the sorted
     indices of the points of P on it.
@@ -287,7 +313,7 @@ def _plane_groups(P: PointSet) -> dict[tuple[int, ...], tuple[int, ...]]:
     Each point i anchors the planes it spans with the points after it. A plane
     is complete at its smallest-index anchor, so a key seen before is skipped.
     """
-    homs = [int_hom(p) for p in P.points]
+    homs = _plane_homs(P, "plane_summary")
     n = len(homs)
     groups: dict[tuple[int, ...], tuple[int, ...]] = {}
     for i in range(n - 2):
@@ -303,10 +329,6 @@ def _plane_groups(P: PointSet) -> dict[tuple[int, ...], tuple[int, ...]]:
 
 def plane_summary(P: PointSet) -> PlaneSummary:
     """Classify every spanned plane of a 3D set by the points of P it contains."""
-    if P.kind is not Kind.AFFINE3:
-        raise UsageError("plane_summary needs a 3D affine set")
-    if len(P) < 3:
-        raise UsageError("plane_summary needs at least 3 points")
     points = {CanonPlane(k): members for k, members in sorted(_plane_groups(P).items())}
     counts = {plane: len(members) for plane, members in points.items()}
     return PlaneSummary(

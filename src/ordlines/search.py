@@ -5,7 +5,10 @@ cap: no plane may carry more than floor(alpha * n) points. The engine is
 entirely float-free. Acceptance probabilities come from a fixed rational
 piecewise-linear table of exp(-x), the temperature is a rational with a
 bounded denominator, and random draws are integers, so a seed fully
-determines the run on every platform.
+determines the run on every platform. The move mix is fixed at 5:2:2:1:
+redraw one coordinate, snap to the line through two other points, snap to
+the plane through three, or restart the point; the temperature after t
+iterations is 2 * (999/1000)^t.
 
 Proposals are scored incrementally. The state keeps the canonical line key
 of every point pair and how many pairs map to each key; a line with k points
@@ -20,23 +23,21 @@ placed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
 from .analysis import plane_ordinary_profile
+from .constructions import _rand_fraction as _rand_q
 from .errors import DegenerateInputError, GenerationError, InvariantViolationError, UsageError
 from .geometry import Kind, Point, affine3, int_hom, plucker_key
-from .incidence import PointSet, _anchor_planes, plane_summary, span_summary
+from .incidence import PointSet, _heaviest_plane, max_coplanar, plane_summary, span_summary
 
 __all__ = ["SearchConfig", "SearchResult", "minimize_ordinary"]
 
-DEFAULT_MOVE_WEIGHTS = {
-    "perturb": 5,
-    "snap_to_line": 2,
-    "snap_to_plane": 2,
-    "restart_point": 1,
-}
+_MOVES = ("perturb",) * 5 + ("snap_to_line",) * 2 + ("snap_to_plane",) * 2 + ("restart_point",)
+_TEMP_INITIAL = Fraction(2)
+_TEMP_DECAY = Fraction(999, 1000)
 
 # exp(-k/2) for k = 0..16, rounded to 6 decimals; zero beyond x = 8.
 _EXP_NODES = (
@@ -83,9 +84,6 @@ class SearchConfig:
     seed: int = 0
     coordinate_bound: int = 30
     initial: PointSet | None = None
-    move_weights: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_MOVE_WEIGHTS))
-    temp_initial: Fraction = Fraction(2)
-    temp_decay: Fraction = Fraction(999, 1000)
 
     def __post_init__(self):
         if self.n < 4:
@@ -98,16 +96,6 @@ class SearchConfig:
             raise UsageError("iterations must be nonnegative")
         if self.coordinate_bound < 1:
             raise UsageError("coordinate_bound must be positive")
-        if set(self.move_weights) - set(DEFAULT_MOVE_WEIGHTS):
-            raise UsageError(f"unknown move names: {set(self.move_weights) - set(DEFAULT_MOVE_WEIGHTS)}")
-        weights = {name: self.move_weights.get(name, 0) for name in DEFAULT_MOVE_WEIGHTS}
-        if any(w < 0 for w in weights.values()) or not any(weights.values()):
-            raise UsageError("move weights must be nonnegative and not all zero")
-        object.__setattr__(self, "move_weights", weights)
-        object.__setattr__(self, "temp_initial", Fraction(self.temp_initial))
-        object.__setattr__(self, "temp_decay", Fraction(self.temp_decay))
-        if self.temp_initial <= 0 or not 0 < self.temp_decay < 1:
-            raise UsageError("temperature schedule needs temp_initial > 0 and 0 < temp_decay < 1")
 
     @property
     def cap(self) -> int:
@@ -130,10 +118,6 @@ class SearchResult:
     accepted_moves: int
     trace: list[tuple[int, int]]
     plane_profile: list[tuple[int, int]]
-
-
-def _rand_q(rng: random.Random, bound: int) -> Fraction:
-    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
 
 
 class _LineCounts:
@@ -193,13 +177,6 @@ class _LineCounts:
         return row
 
 
-def _breaks_cap(homs: list[tuple[int, ...]], moved: int, cap: int) -> bool:
-    """Exact test for an overweight plane through the moved point."""
-    others = [j for j in range(len(homs)) if j != moved]
-    planes = _anchor_planes(homs, moved, others)
-    return 1 + max(map(len, planes.values()), default=0) > cap
-
-
 def _random_start(config: SearchConfig, rng: random.Random) -> list[Point]:
     for _ in range(100):
         coords: set[tuple[Fraction, Fraction, Fraction]] = set()
@@ -207,7 +184,7 @@ def _random_start(config: SearchConfig, rng: random.Random) -> list[Point]:
             coords.add(tuple(_rand_q(rng, config.coordinate_bound) for _ in range(3)))
         pts = [affine3(*c) for c in sorted(coords)]
         try:
-            heaviest = plane_summary(PointSet(pts)).max_coplanar
+            heaviest = max_coplanar(PointSet(pts))
         except DegenerateInputError:  # all collinear
             continue
         if heaviest <= config.cap:
@@ -258,7 +235,7 @@ def minimize_ordinary(config: SearchConfig) -> SearchResult:
             raise UsageError(
                 f"initial set has {len(config.initial)} points, config says n={config.n}"
             )
-        if plane_summary(config.initial).max_coplanar > config.cap:
+        if max_coplanar(config.initial) > config.cap:
             raise UsageError("initial set violates the coplanarity cap")
         points = list(config.initial.points)
     else:
@@ -274,19 +251,11 @@ def minimize_ordinary(config: SearchConfig) -> SearchResult:
     trace = [(0, current)]
     accepted = 0
 
-    move_names = list(DEFAULT_MOVE_WEIGHTS)
-    cumulative = []
-    total = 0
-    for name in move_names:
-        total += config.move_weights[name]
-        cumulative.append(total)
-
-    temp = config.temp_initial
+    temp = _TEMP_INITIAL
     for it in range(1, config.iterations + 1):
-        r = rng.randrange(total)
-        move = next(name for name, c in zip(move_names, cumulative) if r < c)
+        move = _MOVES[rng.randrange(len(_MOVES))]
         i, new_point = _propose(points, rng, move, config.coordinate_bound)
-        temp = (temp * config.temp_decay).limit_denominator(_TEMP_DEN_LIMIT)
+        temp = (temp * _TEMP_DECAY).limit_denominator(_TEMP_DEN_LIMIT)
         if temp <= 0:
             temp = Fraction(1, _TEMP_DEN_LIMIT)
         if new_point in occupied:
@@ -303,7 +272,7 @@ def minimize_ordinary(config: SearchConfig) -> SearchResult:
             p = _exp_neg(Fraction(candidate - current) / temp)
             ok = Fraction(rng.randrange(_DRAW_DEN), _DRAW_DEN) < p
         if ok:
-            ok = not _breaks_cap(homs, i, config.cap)
+            ok = _heaviest_plane(homs, i, (j for j in range(config.n) if j != i)) <= config.cap
         if not ok:
             points[i], homs[i] = old_point, old_hom
             lines.replace(i, old_keys)

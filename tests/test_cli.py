@@ -233,6 +233,21 @@ def test_search_command(runner, tmp_path):
     assert result.exit_code != 0
 
 
+def test_unwritable_output_is_a_usage_error(runner, tmp_path):
+    search = ["search", "--n", "6", "--alpha", "1", "--iters", "5"]
+    (tmp_path / "report.txt.json").mkdir()  # the search report's own file
+    cases = [
+        (["gen", "grid", "--m", "3"], tmp_path / "missing" / "x.txt"),
+        (search, tmp_path / "missing" / "b.txt"),
+        (search, tmp_path / "report.txt"),
+    ]
+    for args, out in cases:
+        result = runner.invoke(main, [*args, "-o", str(out)])
+        assert result.exit_code == 1, _everything(result)
+        assert isinstance(result.exception, SystemExit)
+        assert "Error: cannot write" in _everything(result)
+
+
 _FUZZ_FILES = {
     "empty": "",
     "malformed": "dim=3 kind=affine field=Q\n1 2 3\n1 2 x\n",

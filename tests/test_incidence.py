@@ -28,6 +28,7 @@ from ordlines import (
     incident,
     kelly_trace,
     max_collinear,
+    max_coplanar,
     ordinary_lines,
     plane_summary,
     point_degrees,
@@ -252,6 +253,31 @@ def test_plane_kernel_rejects_collinear_large_coordinates(o, w, ts):
         plane_summary(P)
 
 
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(planted_sets())
+def test_max_coplanar_matches_naive_oracle(P):
+    naive = naive_plane_sets(P)
+    if not naive:
+        with pytest.raises(DegenerateInputError):
+            max_coplanar(P)
+        return
+    assert max_coplanar(P) == max(map(len, naive))
+
+
+@settings(max_examples=15, deadline=None)
+@given(big_vec, big_vec, st.lists(small_int, min_size=3, max_size=8, unique=True))
+def test_max_coplanar_rejects_collinear_2d_and_small_sets(o, w, ts):
+    if not any(w):
+        w = (Fraction(1), Fraction(0), Fraction(0))
+    run = [tuple(a + t * d for a, d in zip(o, w)) for t in ts]
+    with pytest.raises(DegenerateInputError):
+        max_coplanar(PointSet([affine3(*c) for c in run]))
+    with pytest.raises(UsageError):
+        max_coplanar(PointSet([affine3(*c) for c in run[:2]]))
+    with pytest.raises(UsageError):
+        max_coplanar(PointSet([affine2(0, 0), affine2(1, 0), affine2(0, 1), affine2(*o[:2])]))
+
+
 @st.composite
 def planted_plane_sets(draw, projective=False, max_n=16):
     """2D sets of up to max_n points at large coordinates: two collinear runs
@@ -309,6 +335,17 @@ def test_line_kernel_matches_naive_oracle_2d(P):
 def test_line_kernel_matches_naive_oracle_projective(P):
     assert sum(1 for p in P if p.coords[2] == 0) >= 3
     _assert_line_kernel_matches_naive(P)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(planted_plane_sets(), planted_plane_sets(projective=True)).filter(
+    lambda P: len(P) >= 2
+))
+def test_ordinary_lines_2d_in_sort_key_order(P):
+    lines = ordinary_lines(P)
+    assert lines == sorted(lines, key=lambda line: line.sort_key())
+    ordinary = [sorted(m) for m in naive_line_sets(P) if len(m) == 2]
+    assert {line.vector for line in lines} == {canon_line(P[a], P[b]).vector for a, b in ordinary}
 
 
 # --- projection ----------------------------------------------------------

@@ -2,7 +2,9 @@
 
 import hashlib
 import math
+import random
 from collections import Counter
+from itertools import combinations, product
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,8 @@ from ordlines import (
     SearchConfig,
     UsageError,
     affine3,
+    collinear,
+    coplanar,
     gen_near_coplanar,
     gen_random,
     gen_two_skew,
@@ -23,7 +27,8 @@ from ordlines import (
     write_pointset,
 )
 from ordlines.geometry import int_hom, plucker_key
-from ordlines.search import _breaks_cap, _exp_neg, _LineCounts
+from ordlines.incidence import _heaviest_plane
+from ordlines.search import _exp_neg, _LineCounts, _propose
 from conftest import naive_plane_sets
 
 
@@ -35,23 +40,12 @@ def test_config_validation():
     with pytest.raises(UsageError):
         SearchConfig(n=8, alpha=Fraction(1, 2), iterations=-1)
     with pytest.raises(UsageError):
-        SearchConfig(n=8, alpha=Fraction(1, 2), iterations=0, move_weights={"teleport": 1})
-    with pytest.raises(UsageError):
-        SearchConfig(n=8, alpha=Fraction(1, 2), iterations=0, move_weights={"perturb": -1})
-    with pytest.raises(UsageError):
-        SearchConfig(n=8, alpha=Fraction(1, 2), iterations=0, move_weights={"perturb": 0})
-    with pytest.raises(UsageError):
-        SearchConfig(n=8, alpha=Fraction(1, 2), iterations=0, temp_initial=Fraction(0))
-    with pytest.raises(UsageError):
-        SearchConfig(n=8, alpha=Fraction(1, 2), iterations=0, temp_decay=Fraction(1))
-    with pytest.raises(UsageError):
         SearchConfig(n=8, alpha=Fraction(1, 2), iterations=0, coordinate_bound=0)
 
 
 def test_config_cap_and_weight_fill():
-    cfg = SearchConfig(n=10, alpha=Fraction(3, 5), iterations=0, move_weights={"perturb": 1})
+    cfg = SearchConfig(n=10, alpha=Fraction(3, 5), iterations=0)
     assert cfg.cap == 6
-    assert cfg.move_weights == {"perturb": 1, "snap_to_line": 0, "snap_to_plane": 0, "restart_point": 0}
 
 
 def test_seed_validation():
@@ -120,13 +114,28 @@ def test_seeded_start_improves_or_holds():
     assert result.trace[0] == (0, 16)
 
 
-def test_single_move_kind_runs():
-    for move in ("perturb", "snap_to_line", "snap_to_plane", "restart_point"):
-        cfg = SearchConfig(
-            n=6, alpha=Fraction(1), iterations=50, seed=3, move_weights={move: 1}
-        )
-        result = minimize_ordinary(cfg)
-        assert span_summary(result.best).ordinary == result.best_count
+def _within_bound(c: Fraction, bound: int) -> bool:
+    return abs(c.numerator) <= bound and c.denominator <= bound
+
+
+def test_propose_each_move_kind():
+    """Points in general position, so a snapped point meets two (three) others on a
+    line (plane) only by construction, and a fresh draw does so only by chance."""
+    moves = ("perturb", "snap_to_line", "snap_to_plane", "restart_point")
+    for seed, move in product(range(6), moves):
+        points = list(gen_random(8, 3, 1000, seed=seed))
+        i, new = _propose(points, random.Random(seed), move, 30)
+        assert 0 <= i < len(points) and new.kind is points[i].kind
+        others = points[:i] + points[i + 1 :]
+        if move == "perturb":
+            changed = [c for c, old in zip(new.coords, points[i].coords) if c != old]
+            assert len(changed) <= 1 and all(_within_bound(c, 30) for c in changed)
+        elif move == "restart_point":
+            assert all(_within_bound(c, 30) for c in new.coords)
+        elif move == "snap_to_line":
+            assert any(collinear(a, b, new) for a, b in combinations(others, 2))
+        else:
+            assert any(coplanar(a, b, c, new) for a, b, c in combinations(others, 3))
 
 
 def test_exp_surrogate_tracks_exp():
@@ -212,8 +221,8 @@ def test_cap_check_matches_naive_heaviest_plane(coords, data):
     moved = data.draw(st.integers(min_value=0, max_value=len(P) - 1))
     heaviest = max(len(s) for s in planes if moved in s)
     homs = [int_hom(p) for p in P]
-    assert _breaks_cap(homs, moved, heaviest - 1)
-    assert not _breaks_cap(homs, moved, heaviest)
+    others = [j for j in range(len(P)) if j != moved]
+    assert _heaviest_plane(homs, moved, others) == heaviest
 
 
 # --- golden runs ------------------------------------------------------------
