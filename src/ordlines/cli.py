@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 from fractions import Fraction
 
 import click
@@ -79,12 +80,21 @@ def _approx(x: Fraction) -> str:
     return f"{Fraction(x)} (~{float(x):.6g})"
 
 
-def _write_file(path: str, text: str) -> None:
+def _write_file(path: str, text: str, mode: str = "w") -> None:
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, mode, encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def _check_writable(path: str) -> None:
+    """Fail now, not after a long run, if ``path`` cannot be written. Opening it
+    for appending changes no content; a file that this creates is removed."""
+    existed = os.path.lexists(path)
+    _write_file(path, "", mode="a")
+    if not existed:
+        os.remove(path)
 
 
 @click.group()
@@ -454,6 +464,8 @@ def search(n, alpha, iters, seed, init, bound, output):
         coordinate_bound=bound,
         initial=initial,
     )
+    for path in (output, output + ".json"):
+        _check_writable(path)
     result = minimize_ordinary(config)
     _write_file(output, write_pointset(result.best))
     report = {
@@ -471,7 +483,11 @@ def search(n, alpha, iters, seed, init, bound, output):
         "trace": [[it, count] for it, count in result.trace],
         "plane_profile": [[points, ordinary] for points, ordinary in result.plane_profile],
     }
-    _write_file(output + ".json", json.dumps(report, indent=2) + "\n")
+    try:
+        _write_file(output + ".json", json.dumps(report, indent=2) + "\n")
+    except UsageError:
+        os.remove(output)  # no set without its report
+        raise
     click.echo(
         f"best ordinary count {result.best_count} (ratio {_approx(result.ratio)}); "
         f"set -> {output}, trace -> {output}.json"

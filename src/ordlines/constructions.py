@@ -68,6 +68,8 @@ def gen_near_coplanar(n: int, k: int, seed: int = 0) -> PointSet:
         raise UsageError("gen_near_coplanar needs k >= 1")
     if n - k < 4:
         raise UsageError("gen_near_coplanar needs n - k >= 4")
+    if n - k < k + 2:  # the plane through the z-axis and any planar point holds k + 2
+        raise UsageError("gen_near_coplanar needs n - k >= k + 2")
     rng = _rng(seed)
     for _ in range(RETRY_LIMIT):
         planar: set[tuple[Fraction, Fraction]] = set()

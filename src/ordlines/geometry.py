@@ -195,26 +195,38 @@ def primitive_signed(v: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def cross_key(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Canonical line key for two integer homogeneous 3-tuples."""
-    return primitive_signed(
-        (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
-    )
+    """Canonical line key for two integer homogeneous 3-tuples: their cross
+    product, normalized in line as ``primitive_signed`` would."""
+    v0 = a[1] * b[2] - a[2] * b[1]
+    v1 = a[2] * b[0] - a[0] * b[2]
+    v2 = a[0] * b[1] - a[1] * b[0]
+    g = math.gcd(v0, v1, v2)
+    if g == 0:
+        raise DegenerateInputError("zero coefficient vector")
+    if (v0 or v1 or v2) < 0:  # the first nonzero entry
+        g = -g
+    return (v0, v1, v2) if g == 1 else (v0 // g, v1 // g, v2 // g)
 
 
 def plucker_key(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Canonical line key (Plücker 6-vector) for two integer homogeneous 4-tuples."""
+    """Canonical line key (Plücker 6-vector) for two integer homogeneous 4-tuples,
+    normalized in line as ``primitive_signed`` would."""
     a0, a1, a2, a3 = a
     b0, b1, b2, b3 = b
-    return primitive_signed(
-        (
-            a0 * b1 - a1 * b0,
-            a0 * b2 - a2 * b0,
-            a0 * b3 - a3 * b0,
-            a1 * b2 - a2 * b1,
-            a1 * b3 - a3 * b1,
-            a2 * b3 - a3 * b2,
-        )
-    )
+    p01 = a0 * b1 - a1 * b0
+    p02 = a0 * b2 - a2 * b0
+    p03 = a0 * b3 - a3 * b0
+    p12 = a1 * b2 - a2 * b1
+    p13 = a1 * b3 - a3 * b1
+    p23 = a2 * b3 - a3 * b2
+    g = math.gcd(p01, p02, p03, p12, p13, p23)
+    if g == 0:
+        raise DegenerateInputError("zero coefficient vector")
+    if (p01 or p02 or p03 or p12 or p13 or p23) < 0:  # the first nonzero entry
+        g = -g
+    if g == 1:
+        return (p01, p02, p03, p12, p13, p23)
+    return (p01 // g, p02 // g, p03 // g, p12 // g, p13 // g, p23 // g)
 
 
 def plane_key(a: tuple[int, ...], b: tuple[int, ...], c: tuple[int, ...]) -> tuple[int, ...]:
@@ -232,11 +244,18 @@ def plane_key(a: tuple[int, ...], b: tuple[int, ...], c: tuple[int, ...]) -> tup
 
 
 def direction_key(anchor: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """Canonical direction from an anchor to another point (integer homogeneous 4-tuples)."""
+    """Canonical direction from an anchor to another point (integer homogeneous
+    4-tuples), normalized in line as ``primitive_signed`` would."""
     wa, wq = anchor[3], q[3]
-    return primitive_signed(
-        (q[0] * wa - anchor[0] * wq, q[1] * wa - anchor[1] * wq, q[2] * wa - anchor[2] * wq)
-    )
+    d0 = q[0] * wa - anchor[0] * wq
+    d1 = q[1] * wa - anchor[1] * wq
+    d2 = q[2] * wa - anchor[2] * wq
+    g = math.gcd(d0, d1, d2)
+    if g == 0:
+        raise DegenerateInputError("zero coefficient vector")
+    if (d0 or d1 or d2) < 0:  # the first nonzero entry
+        g = -g
+    return (d0, d1, d2) if g == 1 else (d0 // g, d1 // g, d2 // g)
 
 
 def _plucker_incident(plucker: tuple[int, ...], x: tuple[int, ...]) -> bool:

@@ -8,8 +8,11 @@ it needs one anchor's classes at a time, never a store of all lines. A line's
 first anchor (its smallest index) sees all of its points, which gives the exact
 point set of every spanned line for degrees and ordinary-line lists. Planes
 group pairs of one anchor's direction classes by the normal they span, so each
-group is the anchor's share of one plane, again complete at its first anchor,
-without touching raw triples.
+group (a bundle) is the anchor's share of one plane, again complete at its
+first anchor, without touching raw triples. A bundle carries the count of its
+points beside its classes, so the heaviest plane through a point is read
+without listing members, and a check against a cap stops at the first bundle
+above it.
 
 Projections from a set point are kept projective: the image of q under
 projection from p is the direction of the line pq, as a point of the rational
@@ -24,6 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
 from math import comb
+from operator import itemgetter
 
 from .errors import DegenerateInputError, InvariantViolationError, UsageError
 from .geometry import (
@@ -252,17 +256,11 @@ def point_degrees(P: PointSet) -> list[int]:
     return [degrees[i] for i in range(len(P))]
 
 
-def _anchor_planes(
+def _direction_classes(
     homs: list[tuple[int, ...]], anchor: int, others
 ) -> dict[tuple[int, ...], list[int]]:
-    """The planes through one point of a 3D set, spanned with the points ``others``.
-
-    Maps each plane's normal (a primitive integer 3-vector) to the indices in
-    ``others`` on that plane. The points are grouped by direction from the
-    anchor, and two direction classes lie on the plane whose normal is their
-    cross product; a line through the anchor thus joins every plane that
-    contains it. Empty when ``others`` is collinear with the anchor.
-    """
+    """The points ``others`` of a 3D set grouped by their direction from the
+    anchor, one class per line through the anchor, in order of first member."""
     ha = homs[anchor]
     classes: dict[tuple[int, ...], list[int]] = {}
     for j in others:
@@ -272,29 +270,59 @@ def _anchor_planes(
             classes[d] = [j]
         else:
             members.append(j)
-    dirs = list(classes)
-    # Each class of a plane is met paired with the plane's first class, so
-    # only those pairs add a class to its bundle.
+    return classes
+
+
+def _bundles(dirs: list, sizes: list[int], limit: int) -> dict[tuple[int, ...], list[int]]:
+    """The planes through an anchor, from its direction classes.
+
+    ``dirs[c]`` is a direction (any nonzero integer multiple will do) of the
+    c-th line through the anchor, and ``sizes[c]`` the number of points on it
+    besides the anchor. Two classes lie on the plane whose normal is their
+    cross product, so a line through the anchor joins every plane that contains
+    it. Maps each normal to its bundle ``[points, c0, c1, ...]``: the number of
+    points on the plane besides the anchor, then its classes. Returns early,
+    with the bundles so far, once some bundle holds more than ``limit`` points.
+    Empty when there is only one class.
+    """
     bundles: dict[tuple[int, ...], list[int]] = {}
     for a in range(len(dirs) - 1):
-        da = dirs[a]
+        da, sa = dirs[a], sizes[a]
         for b in range(a + 1, len(dirs)):
             normal = cross_key(da, dirs[b])
             bundle = bundles.get(normal)
             if bundle is None:
-                bundles[normal] = [a, b]
-            elif bundle[0] == a:
+                bundle = bundles[normal] = [sa + sizes[b], a, b]
+            elif bundle[1] == a:
+                # Each class of a plane is met paired with the plane's first
+                # class, so only those pairs add a class to its bundle.
+                bundle[0] += sizes[b]
                 bundle.append(b)
-    groups = list(classes.values())
-    return {
-        normal: [j for c in bundle for j in groups[c]] for normal, bundle in bundles.items()
-    }
+            else:
+                continue
+            if bundle[0] > limit:
+                return bundles
+    return bundles
 
 
-def _heaviest_plane(homs: list[tuple[int, ...]], anchor: int, others) -> int:
+def _heaviest_of_classes(dirs: list, sizes: list[int], cap: int | None = None) -> int:
+    """The most points on one plane through an anchor with these direction
+    classes (see ``_bundles``), counting the anchor; 1 when there is only one
+    class. With a ``cap``, stops at the first plane found above it and returns
+    that plane's count so far, which is above the cap exactly when the heaviest
+    plane is."""
+    limit = sum(sizes) if cap is None else cap - 1
+    return 1 + max(map(itemgetter(0), _bundles(dirs, sizes, limit).values()), default=0)
+
+
+def _heaviest_plane(
+    homs: list[tuple[int, ...]], anchor: int, others, cap: int | None = None
+) -> int:
     """The most points on one plane through the anchor, counting the anchor and
-    the points ``others``; 1 when ``others`` is collinear with the anchor."""
-    return 1 + max(map(len, _anchor_planes(homs, anchor, others).values()), default=0)
+    the points ``others``; 1 when ``others`` is collinear with the anchor. With
+    a ``cap``, exits early as ``_heaviest_of_classes`` does."""
+    classes = _direction_classes(homs, anchor, others)
+    return _heaviest_of_classes(list(classes), list(map(len, classes.values())), cap)
 
 
 def _plane_homs(P: PointSet, name: str) -> list[tuple[int, ...]]:
@@ -318,10 +346,12 @@ def _plane_groups(P: PointSet) -> dict[tuple[int, ...], tuple[int, ...]]:
     groups: dict[tuple[int, ...], tuple[int, ...]] = {}
     for i in range(n - 2):
         x0, x1, x2, w = homs[i]
-        for (n0, n1, n2), members in _anchor_planes(homs, i, range(i + 1, n)).items():
+        classes = _direction_classes(homs, i, range(i + 1, n))
+        members = list(classes.values())
+        for (n0, n1, n2), bundle in _bundles(list(classes), list(map(len, members)), n).items():
             key = primitive_signed((w * n0, w * n1, w * n2, -(n0 * x0 + n1 * x1 + n2 * x2)))
             if key not in groups:
-                groups[key] = (i, *sorted(members))
+                groups[key] = (i, *sorted(j for c in bundle[1:] for j in members[c]))
     if not groups:
         raise DegenerateInputError("all points are collinear; spanned planes are undefined")
     return groups

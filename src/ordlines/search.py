@@ -17,12 +17,15 @@ key. Moving one point retracts its n-1 old pairs and adds its n-1 new ones,
 and a rejected move is undone the same way. The coplanarity cap is only
 checked once a proposal would otherwise be accepted, and only through the
 moved point: a move can create an overweight plane only through the point it
-placed.
+placed. The lines through that point are read from its new row of keys, so
+the check keys no direction; it counts points per plane instead of listing
+them, and stops at the first plane found above the cap.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
@@ -31,7 +34,7 @@ from .analysis import plane_ordinary_profile
 from .constructions import _rand_fraction as _rand_q
 from .errors import DegenerateInputError, GenerationError, InvariantViolationError, UsageError
 from .geometry import Kind, Point, affine3, int_hom, plucker_key
-from .incidence import PointSet, _heaviest_plane, max_coplanar, plane_summary, span_summary
+from .incidence import PointSet, _heaviest_of_classes, max_coplanar, plane_summary, span_summary
 
 __all__ = ["SearchConfig", "SearchResult", "minimize_ordinary"]
 
@@ -176,6 +179,15 @@ class _LineCounts:
         self.keys[i] = new_keys
         return row
 
+    def classes(self, i: int) -> tuple[list[tuple[int, ...]], list[int]]:
+        """The lines through point i as ``_heaviest_of_classes`` takes them: a
+        direction of each and the number of other points on it. Equal keys in row
+        i are the same line through i, and entries (p03, p13, p23) of a Plücker
+        key are a nonzero multiple of its direction."""
+        counts = Counter(self.keys[i])
+        del counts[None]
+        return [(k[2], k[4], k[5]) for k in counts], list(counts.values())
+
 
 def _random_start(config: SearchConfig, rng: random.Random) -> list[Point]:
     for _ in range(100):
@@ -272,7 +284,7 @@ def minimize_ordinary(config: SearchConfig) -> SearchResult:
             p = _exp_neg(Fraction(candidate - current) / temp)
             ok = Fraction(rng.randrange(_DRAW_DEN), _DRAW_DEN) < p
         if ok:
-            ok = _heaviest_plane(homs, i, (j for j in range(config.n) if j != i)) <= config.cap
+            ok = _heaviest_of_classes(*lines.classes(i), config.cap) <= config.cap
         if not ok:
             points[i], homs[i] = old_point, old_hom
             lines.replace(i, old_keys)

@@ -5,7 +5,8 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from ordlines import PointSet, affine3, read_pointset_file, write_pointset
+from ordlines import PointSet, affine3, minimize_ordinary, read_pointset_file, write_pointset
+from ordlines import cli
 from ordlines.cli import main
 
 
@@ -246,6 +247,35 @@ def test_unwritable_output_is_a_usage_error(runner, tmp_path):
         assert result.exit_code == 1, _everything(result)
         assert isinstance(result.exception, SystemExit)
         assert "Error: cannot write" in _everything(result)
+
+
+def test_search_checks_its_outputs_before_the_run(runner, tmp_path, monkeypatch):
+    runs = []
+    monkeypatch.setattr(cli, "minimize_ordinary", runs.append)
+    (tmp_path / "report.txt.json").mkdir()
+    search = ["search", "--n", "6", "--alpha", "1", "--iters", "5"]
+    for out in (tmp_path / "missing" / "b.txt", tmp_path / "report.txt"):
+        result = runner.invoke(main, [*search, "-o", str(out)])
+        assert result.exit_code == 1, _everything(result)
+        assert "Error: cannot write" in _everything(result)
+    assert runs == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.txt.json"]
+
+
+def test_search_leaves_no_set_without_its_report(runner, tmp_path, monkeypatch):
+    out = tmp_path / "b.txt"
+
+    def run_then_block_the_report(config):
+        result = minimize_ordinary(config)
+        (tmp_path / "b.txt.json").mkdir()
+        return result
+
+    monkeypatch.setattr(cli, "minimize_ordinary", run_then_block_the_report)
+    search = ["search", "--n", "6", "--alpha", "1", "--iters", "5"]
+    result = runner.invoke(main, [*search, "-o", str(out)])
+    assert result.exit_code == 1, _everything(result)
+    assert "Error: cannot write" in _everything(result)
+    assert not out.exists()
 
 
 _FUZZ_FILES = {

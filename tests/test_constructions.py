@@ -19,6 +19,7 @@ from ordlines import (
     gen_random,
     gen_two_skew,
     max_collinear,
+    max_coplanar,
     plane_summary,
     point_degrees,
     span_summary,
@@ -76,6 +77,16 @@ def test_near_coplanar_determinism_and_pre():
         gen_near_coplanar(6, 3)
     with pytest.raises(UsageError):
         gen_near_coplanar(10, 0)
+
+
+def test_near_coplanar_rejects_too_few_planar_points():
+    """The plane through the z-axis and a planar point holds k + 2 points, so
+    n - k < k + 2 can never make z = 0 the heaviest plane; it fails up front."""
+    for n, k in ((7, 3), (9, 4), (60, 30)):
+        with pytest.raises(UsageError, match="n - k >= k \\+ 2"):
+            gen_near_coplanar(n, k)
+    P = gen_near_coplanar(30, 14)  # a tie: the axis planes hold 16 points too
+    assert max_coplanar(P) == 16
 
 
 def test_coplanar_heavy_counts():

@@ -25,7 +25,7 @@ from ordlines import (
     projective2,
     skew,
 )
-from ordlines.geometry import int_hom, plucker_key
+from ordlines.geometry import cross_key, direction_key, int_hom, plucker_key, primitive_signed
 from conftest import big_vec, rand_fraction
 
 
@@ -155,6 +155,40 @@ def test_plucker_quadric_holds_and_is_enforced():
         assert p01 * p23 - p02 * p13 + p03 * p12 == 0
     with pytest.raises(InvariantViolationError):
         CanonLine3(plucker=(1, 0, 0, 0, 0, 1))
+
+
+# Entries of about 200 bits, often zero, so that leading entries vary in place and sign.
+_entry = st.one_of(st.just(0), st.integers(min_value=-(1 << 200), max_value=1 << 200))
+_vec4 = st.tuples(_entry, _entry, _entry, _entry)
+
+_RAW = {
+    cross_key: lambda a, b: (
+        a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]
+    ),
+    direction_key: lambda a, b: tuple(b[k] * a[3] - a[k] * b[3] for k in range(3)),
+    plucker_key: lambda a, b: tuple(
+        a[i] * b[j] - a[j] * b[i] for i in range(4) for j in range(i + 1, 4)
+    ),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_vec4, _vec4, st.integers(min_value=2, max_value=1 << 64))
+def test_keys_normalize_like_primitive_signed(a, b, content):
+    """Each key is primitive_signed of its raw vector. Scaling both inputs by
+    content multiplies every raw entry by content squared, so the raw vector
+    has content > 1; a zero raw vector raises."""
+    a, b = (tuple(content * x for x in v) for v in (a, b))
+    for key, raw in _RAW.items():
+        args = (a[:3], b[:3]) if key is cross_key else (a, b)
+        v = raw(*args)
+        if any(v):
+            assert key(*args) == primitive_signed(v)
+        else:
+            with pytest.raises(DegenerateInputError):
+                key(*args)
+        with pytest.raises(DegenerateInputError):
+            key(args[0], args[0])  # a zero raw vector, whatever the point
 
 
 def test_canon_line_duplicate_points_rejected():

@@ -27,9 +27,9 @@ from ordlines import (
     write_pointset,
 )
 from ordlines.geometry import int_hom, plucker_key
-from ordlines.incidence import _heaviest_plane
+from ordlines.incidence import _heaviest_of_classes, _heaviest_plane
 from ordlines.search import _exp_neg, _LineCounts, _propose
-from conftest import naive_plane_sets
+from conftest import big_vec, naive_plane_sets, small_int
 
 
 def test_config_validation():
@@ -223,6 +223,58 @@ def test_cap_check_matches_naive_heaviest_plane(coords, data):
     homs = [int_hom(p) for p in P]
     others = [j for j in range(len(P)) if j != moved]
     assert _heaviest_plane(homs, moved, others) == heaviest
+
+
+@st.composite
+def _runs_through_a_point(draw, max_n=14):
+    """A 3D set of up to max_n points at large coordinates and the index of one
+    of them, o: one to three collinear runs through o, a coplanar cluster
+    through o, and free points, in a drawn order."""
+    o = draw(big_vec)
+    coords = [o]
+
+    def add(c):
+        if c not in coords and len(coords) < max_n:
+            coords.append(c)
+
+    u, v = draw(big_vec), draw(big_vec)
+    for s, t in draw(st.lists(st.tuples(small_int, small_int), max_size=6, unique=True)):
+        add(tuple(a + s * du + t * dv for a, du, dv in zip(o, u, v)))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        w = draw(big_vec)
+        for t in draw(st.lists(small_int, min_size=1, max_size=4, unique=True)):
+            add(tuple(a + t * dw for a, dw in zip(o, w)))
+    for c in draw(st.lists(big_vec, max_size=4)):
+        add(c)
+    order = draw(st.permutations(range(len(coords))))
+    return [coords[k] for k in order], order.index(0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_runs_through_a_point(), big_vec)
+def test_cap_check_through_the_row_matches_naive(case, start):
+    """The annealer's cap check: the moved point's classes, read from its row of
+    the line counts after the move, give the naive heaviest plane through it,
+    and with a cap both cap checks stop on the right side of every cap."""
+    coords, moved = case
+    P = PointSet([affine3(*c) for c in coords])
+    planes = naive_plane_sets(P)
+    if not planes:
+        return  # all collinear: no plane, and the annealer never asks
+    heaviest = max(len(s) for s in planes if moved in s)
+    homs = [int_hom(p) for p in P]
+    if start not in coords:  # the point arrives from elsewhere, as in a move
+        homs[moved] = int_hom(affine3(*start))
+    lines = _LineCounts(homs)
+    homs[moved] = int_hom(P[moved])
+    lines.replace(
+        moved, [None if j == moved else plucker_key(homs[moved], h) for j, h in enumerate(homs)]
+    )
+    assert _heaviest_of_classes(*lines.classes(moved)) == heaviest
+    others = [j for j in range(len(P)) if j != moved]
+    for cap in range(2, len(P) + 1):
+        assert (_heaviest_of_classes(*lines.classes(moved), cap) <= cap) == (heaviest <= cap)
+        assert (_heaviest_plane(homs, moved, others, cap) <= cap) == (heaviest <= cap)
 
 
 # --- golden runs ------------------------------------------------------------
