@@ -54,8 +54,10 @@ def gen_near_coplanar(n: int, k: int, seed: int = 0) -> PointSet:
     """n−k random points in the plane z=0 (one of them the origin) plus k points
     stacked on the z-axis at (0,0,1)..(0,0,k).
 
-    Regenerates until the unique heaviest plane is z=0 with exactly n−k points
-    and no planar point other than the origin touches the z-axis. Since the
+    Regenerates until z=0, with exactly n−k points, is a heaviest plane. A
+    plane through the z-axis and a planar point holds at least k+2 points, so
+    when n−k = k+2 those planes tie with z=0, and n−k < k+2 is refused up
+    front. No planar point other than the origin touches the z-axis. Since the
     stacked points all sit on the z-axis and every line through two planar
     points stays inside z=0, those two conditions already rule out any stray
     collinearity through a stacked point.

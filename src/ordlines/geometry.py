@@ -194,18 +194,22 @@ def primitive_signed(v: tuple[int, ...]) -> tuple[int, ...]:
             return v if x > 0 else tuple([-y for y in v])
 
 
-def cross_key(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Canonical line key for two integer homogeneous 3-tuples: their cross
-    product, normalized in line as ``primitive_signed`` would."""
-    v0 = a[1] * b[2] - a[2] * b[1]
-    v1 = a[2] * b[0] - a[0] * b[2]
-    v2 = a[0] * b[1] - a[1] * b[0]
+def _primitive3(v0: int, v1: int, v2: int) -> tuple[int, int, int]:
+    """``primitive_signed((v0, v1, v2))`` without its loops, for the keys that
+    are built most often."""
     g = math.gcd(v0, v1, v2)
     if g == 0:
         raise DegenerateInputError("zero coefficient vector")
     if (v0 or v1 or v2) < 0:  # the first nonzero entry
         g = -g
     return (v0, v1, v2) if g == 1 else (v0 // g, v1 // g, v2 // g)
+
+
+def cross_key(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Canonical line key for two integer homogeneous 3-tuples."""
+    return _primitive3(
+        a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]
+    )
 
 
 def plucker_key(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -244,18 +248,11 @@ def plane_key(a: tuple[int, ...], b: tuple[int, ...], c: tuple[int, ...]) -> tup
 
 
 def direction_key(anchor: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """Canonical direction from an anchor to another point (integer homogeneous
-    4-tuples), normalized in line as ``primitive_signed`` would."""
+    """Canonical direction from an anchor to another point (integer homogeneous 4-tuples)."""
     wa, wq = anchor[3], q[3]
-    d0 = q[0] * wa - anchor[0] * wq
-    d1 = q[1] * wa - anchor[1] * wq
-    d2 = q[2] * wa - anchor[2] * wq
-    g = math.gcd(d0, d1, d2)
-    if g == 0:
-        raise DegenerateInputError("zero coefficient vector")
-    if (d0 or d1 or d2) < 0:  # the first nonzero entry
-        g = -g
-    return (d0, d1, d2) if g == 1 else (d0 // g, d1 // g, d2 // g)
+    return _primitive3(
+        q[0] * wa - anchor[0] * wq, q[1] * wa - anchor[1] * wq, q[2] * wa - anchor[2] * wq
+    )
 
 
 def _plucker_incident(plucker: tuple[int, ...], x: tuple[int, ...]) -> bool:

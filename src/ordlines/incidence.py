@@ -11,8 +11,7 @@ group pairs of one anchor's direction classes by the normal they span, so each
 group (a bundle) is the anchor's share of one plane, again complete at its
 first anchor, without touching raw triples. A bundle carries the count of its
 points beside its classes, so the heaviest plane through a point is read
-without listing members, and a check against a cap stops at the first bundle
-above it.
+without listing members.
 
 Projections from a set point are kept projective: the image of q under
 projection from p is the direction of the line pq, as a point of the rational
@@ -273,7 +272,7 @@ def _direction_classes(
     return classes
 
 
-def _bundles(dirs: list, sizes: list[int], limit: int) -> dict[tuple[int, ...], list[int]]:
+def _bundles(dirs: list, sizes: list[int]) -> dict[tuple[int, ...], list[int]]:
     """The planes through an anchor, from its direction classes.
 
     ``dirs[c]`` is a direction (any nonzero integer multiple will do) of the
@@ -281,9 +280,8 @@ def _bundles(dirs: list, sizes: list[int], limit: int) -> dict[tuple[int, ...], 
     besides the anchor. Two classes lie on the plane whose normal is their
     cross product, so a line through the anchor joins every plane that contains
     it. Maps each normal to its bundle ``[points, c0, c1, ...]``: the number of
-    points on the plane besides the anchor, then its classes. Returns early,
-    with the bundles so far, once some bundle holds more than ``limit`` points.
-    Empty when there is only one class.
+    points on the plane besides the anchor, then its classes. Empty when there
+    is only one class.
     """
     bundles: dict[tuple[int, ...], list[int]] = {}
     for a in range(len(dirs) - 1):
@@ -292,37 +290,27 @@ def _bundles(dirs: list, sizes: list[int], limit: int) -> dict[tuple[int, ...], 
             normal = cross_key(da, dirs[b])
             bundle = bundles.get(normal)
             if bundle is None:
-                bundle = bundles[normal] = [sa + sizes[b], a, b]
+                bundles[normal] = [sa + sizes[b], a, b]
             elif bundle[1] == a:
                 # Each class of a plane is met paired with the plane's first
                 # class, so only those pairs add a class to its bundle.
                 bundle[0] += sizes[b]
                 bundle.append(b)
-            else:
-                continue
-            if bundle[0] > limit:
-                return bundles
     return bundles
 
 
-def _heaviest_of_classes(dirs: list, sizes: list[int], cap: int | None = None) -> int:
+def _heaviest_of_classes(dirs: list, sizes: list[int]) -> int:
     """The most points on one plane through an anchor with these direction
     classes (see ``_bundles``), counting the anchor; 1 when there is only one
-    class. With a ``cap``, stops at the first plane found above it and returns
-    that plane's count so far, which is above the cap exactly when the heaviest
-    plane is."""
-    limit = sum(sizes) if cap is None else cap - 1
-    return 1 + max(map(itemgetter(0), _bundles(dirs, sizes, limit).values()), default=0)
+    class."""
+    return 1 + max(map(itemgetter(0), _bundles(dirs, sizes).values()), default=0)
 
 
-def _heaviest_plane(
-    homs: list[tuple[int, ...]], anchor: int, others, cap: int | None = None
-) -> int:
+def _heaviest_plane(homs: list[tuple[int, ...]], anchor: int, others) -> int:
     """The most points on one plane through the anchor, counting the anchor and
-    the points ``others``; 1 when ``others`` is collinear with the anchor. With
-    a ``cap``, exits early as ``_heaviest_of_classes`` does."""
+    the points ``others``; 1 when ``others`` is collinear with the anchor."""
     classes = _direction_classes(homs, anchor, others)
-    return _heaviest_of_classes(list(classes), list(map(len, classes.values())), cap)
+    return _heaviest_of_classes(list(classes), list(map(len, classes.values())))
 
 
 def _plane_homs(P: PointSet, name: str) -> list[tuple[int, ...]]:
@@ -348,7 +336,7 @@ def _plane_groups(P: PointSet) -> dict[tuple[int, ...], tuple[int, ...]]:
         x0, x1, x2, w = homs[i]
         classes = _direction_classes(homs, i, range(i + 1, n))
         members = list(classes.values())
-        for (n0, n1, n2), bundle in _bundles(list(classes), list(map(len, members)), n).items():
+        for (n0, n1, n2), bundle in _bundles(list(classes), list(map(len, members))).items():
             key = primitive_signed((w * n0, w * n1, w * n2, -(n0 * x0 + n1 * x1 + n2 * x2)))
             if key not in groups:
                 groups[key] = (i, *sorted(j for c in bundle[1:] for j in members[c]))

@@ -18,8 +18,8 @@ and a rejected move is undone the same way. The coplanarity cap is only
 checked once a proposal would otherwise be accepted, and only through the
 moved point: a move can create an overweight plane only through the point it
 placed. The lines through that point are read from its new row of keys, so
-the check keys no direction; it counts points per plane instead of listing
-them, and stops at the first plane found above the cap.
+the check keys no direction, and it counts points per plane instead of
+listing them.
 """
 
 from __future__ import annotations
@@ -284,7 +284,7 @@ def minimize_ordinary(config: SearchConfig) -> SearchResult:
             p = _exp_neg(Fraction(candidate - current) / temp)
             ok = Fraction(rng.randrange(_DRAW_DEN), _DRAW_DEN) < p
         if ok:
-            ok = _heaviest_of_classes(*lines.classes(i), config.cap) <= config.cap
+            ok = _heaviest_of_classes(*lines.classes(i)) <= config.cap
         if not ok:
             points[i], homs[i] = old_point, old_hom
             lines.replace(i, old_keys)

@@ -254,8 +254,7 @@ def _runs_through_a_point(draw, max_n=14):
 @given(_runs_through_a_point(), big_vec)
 def test_cap_check_through_the_row_matches_naive(case, start):
     """The annealer's cap check: the moved point's classes, read from its row of
-    the line counts after the move, give the naive heaviest plane through it,
-    and with a cap both cap checks stop on the right side of every cap."""
+    the line counts after the move, give the naive heaviest plane through it."""
     coords, moved = case
     P = PointSet([affine3(*c) for c in coords])
     planes = naive_plane_sets(P)
@@ -271,10 +270,6 @@ def test_cap_check_through_the_row_matches_naive(case, start):
         moved, [None if j == moved else plucker_key(homs[moved], h) for j, h in enumerate(homs)]
     )
     assert _heaviest_of_classes(*lines.classes(moved)) == heaviest
-    others = [j for j in range(len(P)) if j != moved]
-    for cap in range(2, len(P) + 1):
-        assert (_heaviest_of_classes(*lines.classes(moved), cap) <= cap) == (heaviest <= cap)
-        assert (_heaviest_plane(homs, moved, others, cap) <= cap) == (heaviest <= cap)
 
 
 # --- golden runs ------------------------------------------------------------
