@@ -15,8 +15,25 @@ from fractions import Fraction
 from math import comb
 
 from .errors import DomainError, UsageError
-from .geometry import CanonLine2, CanonLine3, Kind, Point, canon_line, incident, skew
-from .incidence import PlaneSummary, PointSet, ordinary_lines, plane_summary, span_summary
+from .geometry import (
+    CanonLine2,
+    CanonLine3,
+    Kind,
+    Point,
+    _plucker_incident,
+    canon_line,
+    direction_key,
+    incident,
+    skew,
+)
+from .incidence import (
+    PointSet,
+    _line_histogram,
+    _plane_groups,
+    ordinary_lines,
+    plane_summary,
+    span_summary,
+)
 
 __all__ = [
     "BoundConstants",
@@ -28,13 +45,9 @@ __all__ = [
     "verify_skew_bound",
     "AlmostCoplanarReport",
     "verify_almost_coplanar",
-    "SmallLineReport",
-    "small_line_counts",
     "ConcurrentProbeReport",
     "concurrent_lines_probe",
     "plane_ordinary_profile",
-    "BeckReport",
-    "beck_report",
 ]
 
 
@@ -161,8 +174,8 @@ def verify_skew_bound(P: PointSet, line1: CanonLine3, line2: CanonLine3) -> Skew
         raise UsageError("verify_skew_bound needs a 3D affine set")
     if not skew(line1, line2):
         raise UsageError("the two lines are coplanar, not skew")
-    on1 = sum(1 for p in P if incident(line1, p))
-    on2 = sum(1 for p in P if incident(line2, p))
+    on1 = sum(1 for h in P.homs if _plucker_incident(line1.plucker, h))
+    on2 = sum(1 for h in P.homs if _plucker_incident(line2.plucker, h))
     lhs = span_summary(P).ordinary
     rhs = on1 * on2 - len(P)
     return SkewBoundReport(lhs=lhs, rhs=rhs, holds=lhs >= rhs)
@@ -205,32 +218,6 @@ def verify_almost_coplanar(P: PointSet, k: int) -> AlmostCoplanarReport:
 
 
 @dataclass
-class SmallLineReport:
-    lines_le3: int
-    lines_le4: int
-    n: int
-    ratio_le3: Fraction
-    ratio_le4: Fraction
-
-
-def small_line_counts(P: PointSet) -> SmallLineReport:
-    """Count spanned lines with at most 3 and at most 4 points, with n^2 ratios."""
-    if P.kind not in (Kind.AFFINE2, Kind.PROJECTIVE2):
-        raise UsageError("small_line_counts needs a planar set")
-    summary = span_summary(P)
-    le3 = sum(c for k, c in summary.t.items() if k <= 3)
-    le4 = sum(c for k, c in summary.t.items() if k <= 4)
-    n = len(P)
-    return SmallLineReport(
-        lines_le3=le3,
-        lines_le4=le4,
-        n=n,
-        ratio_le3=Fraction(le3, n * n),
-        ratio_le4=Fraction(le4, n * n),
-    )
-
-
-@dataclass
 class ConcurrentProbeReport:
     contained_in: int
     ordinary_avoiding_apex: int
@@ -250,45 +237,21 @@ def concurrent_lines_probe(P: PointSet, apex: Point) -> ConcurrentProbeReport:
     return ConcurrentProbeReport(contained_in=len(pencil), ordinary_avoiding_apex=avoiding)
 
 
-def plane_ordinary_profile(
-    P: PointSet, min_points: int = 4, summary: PlaneSummary | None = None
-) -> list[tuple[int, int]]:
+def plane_ordinary_profile(P: PointSet, min_points: int = 4) -> list[tuple[int, int]]:
     """For each spanned plane with at least min_points points, pair its point count
     with the ordinary count of that coplanar subset taken on its own.
 
     Output is data for the open question whether some heavy plane's subset
     spans close to half its size in ordinary lines; nothing is asserted.
-    Sorted by descending point count, then ascending ordinary count. A caller
-    that already holds ``plane_summary(P)`` passes it as ``summary``.
+    Sorted by descending point count, then ascending ordinary count. Each
+    subset is counted on the set's own integer coordinates, by index.
     """
-    if summary is None:
-        summary = plane_summary(P)
-    profile = []
-    for members in summary.plane_points.values():
-        if len(members) < min_points:
-            continue
-        subset = PointSet([P[i] for i in members], label="plane-subset")
-        profile.append((len(members), span_summary(subset).ordinary))
+    groups = _plane_groups(P)
+    homs = P.homs
+    profile = [
+        (len(members), _line_histogram([homs[i] for i in members], direction_key).ordinary)
+        for members in groups.values()
+        if len(members) >= min_points
+    ]
     profile.sort(key=lambda entry: (-entry[0], entry[1]))
     return profile
-
-
-@dataclass
-class BeckReport:
-    n: int
-    num_lines: int
-    ratio_lines: Fraction
-    ratio_collinear: Fraction
-
-
-def beck_report(P: PointSet) -> BeckReport:
-    """Exact spanned-line and collinearity ratios for comparison with the planar
-    line-count constants."""
-    summary = span_summary(P)
-    n = summary.n
-    return BeckReport(
-        n=n,
-        num_lines=summary.num_lines,
-        ratio_lines=Fraction(summary.num_lines, n * n),
-        ratio_collinear=Fraction(summary.max_collinear, n),
-    )

@@ -11,7 +11,9 @@ group pairs of one anchor's direction classes by the normal they span, so each
 group (a bundle) is the anchor's share of one plane, again complete at its
 first anchor, without touching raw triples. A bundle carries the count of its
 points beside its classes, so the heaviest plane through a point is read
-without listing members.
+without listing members. The kernels read a rational set's integer
+coordinates, computed once per set (``PointSet.homs``), so a subset of the
+set is counted from its indices and never rebuilt as a set.
 
 Projections from a set point are kept projective: the image of q under
 projection from p is the direction of the line pq, as a point of the rational
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, repeat
 from math import comb
 from operator import itemgetter
@@ -102,6 +105,15 @@ class PointSet:
     def __getitem__(self, i) -> Point:
         return self.points[i]
 
+    @cached_property
+    def homs(self) -> tuple[tuple[int, ...], ...]:
+        """The integer homogeneous coordinates (``int_hom``) of a rational set's
+        points, indexed like the set and computed once. Not a field: equality,
+        hashing and output see only the points and the label."""
+        if self.field_name != "Q":
+            raise UsageError("integer coordinates need a rational point set")
+        return tuple(map(int_hom, self.points))
+
 
 @dataclass
 class SpanSummary:
@@ -168,26 +180,19 @@ class KellyTraceReport:
 
 def _pair_keys(P: PointSet, lines: bool):
     """The items of P and a key on two of them that names the line they span, or,
-    unless ``lines``, only the line through the first (its primitive direction
-    when that is cheaper)."""
+    unless ``lines``, only the line through the first (its direction in 3D)."""
     if P.field_name != "Q":
         return P.points, canon_line
-    homs = [int_hom(p) for p in P.points]
     if P.kind is Kind.AFFINE3:
-        return homs, plucker_key if lines else direction_key
-    if P.kind is Kind.AFFINE2 and not lines:
-        return homs, lambda a, q: primitive_signed(
-            (q[0] * a[2] - a[0] * q[2], q[1] * a[2] - a[1] * q[2])
-        )
-    return homs, cross_key
+        return P.homs, plucker_key if lines else direction_key
+    return P.homs, cross_key
 
 
-def _line_groups(P: PointSet) -> dict:
-    """Map each spanned line's canonical key to the sorted indices of its points.
+def _group_lines(items, key) -> dict:
+    """Map each line spanned by the items to the sorted positions of its items.
 
     A line is complete at its smallest-index anchor, so a key seen before is skipped.
     """
-    items, key = _pair_keys(P, lines=True)
     n = len(items)
     groups: dict = {}
     for i in range(n - 1):
@@ -203,13 +208,16 @@ def _line_groups(P: PointSet) -> dict:
     return groups
 
 
-def span_summary(P: PointSet) -> SpanSummary:
-    """Classify every spanned line of P by how many points of P it contains, as
-    t[k] = h[k-1] - h[k] over the anchors' class sizes h (see the module docstring)."""
-    n = len(P)
-    if n < 2:
-        raise UsageError("span_summary needs at least 2 points")
-    items, key = _pair_keys(P, lines=False)
+def _line_groups(P: PointSet) -> dict:
+    """Map each spanned line's canonical key to the sorted indices of its points."""
+    return _group_lines(*_pair_keys(P, lines=True))
+
+
+def _line_histogram(items, key) -> SpanSummary:
+    """The span summary of the items, with ``key`` naming the line from the first
+    of two items through the second, as t[k] = h[k-1] - h[k] over the anchors'
+    class sizes h (see the module docstring)."""
+    n = len(items)
     h: Counter = Counter()
     for i in range(n - 1):
         h.update(Counter(map(key, repeat(items[i]), items[i + 1 :])).values())
@@ -219,6 +227,13 @@ def span_summary(P: PointSet) -> SpanSummary:
     if sum(comb(k, 2) * c for k, c in t.items()) != comb(n, 2):
         raise InvariantViolationError("line histogram does not account for every point pair")
     return SpanSummary(t=t, num_lines=h[1], ordinary=t.get(2, 0), max_collinear=max(t), n=n)
+
+
+def span_summary(P: PointSet) -> SpanSummary:
+    """Classify every spanned line of P by how many points of P it contains."""
+    if len(P) < 2:
+        raise UsageError("span_summary needs at least 2 points")
+    return _line_histogram(*_pair_keys(P, lines=False))
 
 
 def ordinary_lines(P: PointSet) -> list[CanonLine2 | CanonLine3]:
@@ -255,9 +270,7 @@ def point_degrees(P: PointSet) -> list[int]:
     return [degrees[i] for i in range(len(P))]
 
 
-def _direction_classes(
-    homs: list[tuple[int, ...]], anchor: int, others
-) -> dict[tuple[int, ...], list[int]]:
+def _direction_classes(homs, anchor: int, others) -> dict[tuple[int, ...], list[int]]:
     """The points ``others`` of a 3D set grouped by their direction from the
     anchor, one class per line through the anchor, in order of first member."""
     ha = homs[anchor]
@@ -306,20 +319,20 @@ def _heaviest_of_classes(dirs: list, sizes: list[int]) -> int:
     return 1 + max(map(itemgetter(0), _bundles(dirs, sizes).values()), default=0)
 
 
-def _heaviest_plane(homs: list[tuple[int, ...]], anchor: int, others) -> int:
+def _heaviest_plane(homs, anchor: int, others) -> int:
     """The most points on one plane through the anchor, counting the anchor and
     the points ``others``; 1 when ``others`` is collinear with the anchor."""
     classes = _direction_classes(homs, anchor, others)
     return _heaviest_of_classes(list(classes), list(map(len, classes.values())))
 
 
-def _plane_homs(P: PointSet, name: str) -> list[tuple[int, ...]]:
+def _plane_homs(P: PointSet, name: str) -> tuple[tuple[int, ...], ...]:
     """The integer coordinates of a 3D set of at least 3 points, checked for ``name``."""
     if P.kind is not Kind.AFFINE3:
         raise UsageError(f"{name} needs a 3D affine set")
     if len(P) < 3:
         raise UsageError(f"{name} needs at least 3 points")
-    return [int_hom(p) for p in P.points]
+    return P.homs
 
 
 def _plane_groups(P: PointSet) -> dict[tuple[int, ...], tuple[int, ...]]:
@@ -362,14 +375,9 @@ def project_from(P: PointSet, center_index: int) -> ProjectionImage:
         raise UsageError("project_from needs at least 2 points")
     if not 0 <= center_index < len(P):
         raise UsageError(f"center index {center_index} out of range for {len(P)} points")
-    homs = [int_hom(p) for p in P.points]
-    hc = homs[center_index]
-    by_dir: dict[tuple[int, ...], list[int]] = {}
-    for i in range(len(P)):
-        if i == center_index:
-            continue
-        by_dir.setdefault(direction_key(hc, homs[i]), []).append(i)
-    groups = [(projective2(*d), tuple(sorted(idxs))) for d, idxs in by_dir.items()]
+    others = chain(range(center_index), range(center_index + 1, len(P)))
+    by_dir = _direction_classes(P.homs, center_index, others)
+    groups = [(projective2(*d), tuple(idxs)) for d, idxs in by_dir.items()]
     groups.sort(key=lambda g: g[0].sort_key())
     return ProjectionImage(center=center_index, groups=groups, source=P)
 
@@ -403,7 +411,7 @@ def kelly_trace(P: PointSet, center_index: int) -> KellyTraceReport:
     if len(q1) < 2:
         return report
 
-    center = P[center_index]
+    homs = P.homs
     found: set[CanonLine3] = set()
     for g in _line_groups(q1).values():
         if any(flags[k] for k in g):
@@ -411,12 +419,12 @@ def kelly_trace(P: PointSet, center_index: int) -> KellyTraceReport:
         report.l1_size += 1
         # The plane through the center and this image line meets P exactly in
         # the center plus the preimages, so the lines of that local set (with
-        # the center at index 0) are the lines of P in the plane.
-        local = [center]
+        # the center at position 0) are the lines of P in the plane.
+        local = [homs[center_index]]
         for k in g:
-            local.extend(P[i] for i in img.groups[k][1])
+            local.extend(homs[i] for i in img.groups[k][1])
         found_here = 0
-        for key, members in _line_groups(PointSet(local)).items():
+        for key, members in _group_lines(local, plucker_key).items():
             if len(members) == 2 and 0 not in members:
                 found.add(CanonLine3(key))
                 found_here += 1
@@ -425,7 +433,6 @@ def kelly_trace(P: PointSet, center_index: int) -> KellyTraceReport:
                 "no ordinary line avoiding the center in a plane where one is guaranteed"
             )
 
-    homs = [int_hom(p) for p in P.points]
     for line in found:
         on_line = sum(1 for h in homs if _plucker_incident(line.plucker, h))
         if on_line != 2 or _plucker_incident(line.plucker, homs[center_index]):

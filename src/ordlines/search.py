@@ -34,7 +34,7 @@ from .analysis import plane_ordinary_profile
 from .constructions import _rand_fraction as _rand_q
 from .errors import DegenerateInputError, GenerationError, InvariantViolationError, UsageError
 from .geometry import Kind, Point, affine3, int_hom, plucker_key
-from .incidence import PointSet, _heaviest_of_classes, max_coplanar, plane_summary, span_summary
+from .incidence import PointSet, _heaviest_of_classes, max_coplanar, span_summary
 
 __all__ = ["SearchConfig", "SearchResult", "minimize_ordinary"]
 
@@ -189,18 +189,18 @@ class _LineCounts:
         return [(k[2], k[4], k[5]) for k in counts], list(counts.values())
 
 
-def _random_start(config: SearchConfig, rng: random.Random) -> list[Point]:
+def _random_start(config: SearchConfig, rng: random.Random) -> PointSet:
     for _ in range(100):
         coords: set[tuple[Fraction, Fraction, Fraction]] = set()
         while len(coords) < config.n:
             coords.add(tuple(_rand_q(rng, config.coordinate_bound) for _ in range(3)))
-        pts = [affine3(*c) for c in sorted(coords)]
+        start = PointSet([affine3(*c) for c in sorted(coords)])
         try:
-            heaviest = max_coplanar(PointSet(pts))
+            heaviest = max_coplanar(start)
         except DegenerateInputError:  # all collinear
             continue
         if heaviest <= config.cap:
-            return pts
+            return start
     raise GenerationError("no random start satisfied the coplanarity cap after 100 tries")
 
 
@@ -249,11 +249,11 @@ def minimize_ordinary(config: SearchConfig) -> SearchResult:
             )
         if max_coplanar(config.initial) > config.cap:
             raise UsageError("initial set violates the coplanarity cap")
-        points = list(config.initial.points)
+        start = config.initial
     else:
-        points = _random_start(config, rng)
+        start = _random_start(config, rng)
 
-    homs = [int_hom(p) for p in points]
+    points, homs = list(start.points), list(start.homs)
     occupied = set(points)
     lines = _LineCounts(homs)
     current = lines.ordinary
@@ -302,8 +302,7 @@ def minimize_ordinary(config: SearchConfig) -> SearchResult:
     recount = span_summary(best).ordinary
     if recount != best_count:
         raise InvariantViolationError(f"recount {recount} disagrees with best_count {best_count}")
-    planes = plane_summary(best)
-    if planes.max_coplanar > config.cap:
+    if max_coplanar(best) > config.cap:
         raise InvariantViolationError("best set violates the coplanarity cap")
     return SearchResult(
         best=best,
@@ -311,5 +310,5 @@ def minimize_ordinary(config: SearchConfig) -> SearchResult:
         ratio=Fraction(best_count, config.n**2),
         accepted_moves=accepted,
         trace=trace,
-        plane_profile=plane_ordinary_profile(best, summary=planes),
+        plane_profile=plane_ordinary_profile(best),
     )

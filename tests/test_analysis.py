@@ -10,18 +10,15 @@ from ordlines import (
     UsageError,
     affine2,
     affine3,
-    beck_report,
     bound_constants,
     canon_line,
     concurrent_lines_probe,
     gamma_prime,
-    gen_grid2d,
     gen_hesse,
     gen_random,
     gen_two_skew,
     incident,
     plane_ordinary_profile,
-    small_line_counts,
     verify_almost_coplanar,
     verify_skew_bound,
     verify_sylvester_gallai,
@@ -156,21 +153,6 @@ def test_almost_coplanar_rejects_heavy_plane():
         verify_almost_coplanar(P, -1)
 
 
-def test_small_line_counts():
-    report = small_line_counts(gen_grid2d(3, 3))
-    assert report.lines_le3 == report.lines_le4 == 20
-    assert report.ratio_le3 == Fraction(20, 81)
-
-    report = small_line_counts(gen_hesse())
-    assert report.lines_le3 == 12
-
-    triangle = PointSet([affine2(0, 0), affine2(1, 0), affine2(0, 1)])
-    assert small_line_counts(triangle).lines_le3 == 3
-
-    with pytest.raises(UsageError):
-        small_line_counts(gen_two_skew(3))
-
-
 def test_concurrent_probe_two_axes():
     pts = [affine2(1, 0), affine2(2, 0), affine2(-1, 0)]
     pts += [affine2(0, 1), affine2(0, 2), affine2(0, -1)]
@@ -201,14 +183,3 @@ def test_plane_profile_two_skew():
     assert profile == [(4, 3)] * 6
     assert plane_ordinary_profile(gen_two_skew(3), min_points=5) == []
 
-
-def test_beck_report():
-    report = beck_report(gen_grid2d(3, 3))
-    assert report.num_lines == 20
-    assert report.ratio_lines == Fraction(20, 81)
-    assert report.ratio_collinear == Fraction(1, 3)
-
-    collinear_set = PointSet([affine2(t, t) for t in range(5)])
-    report = beck_report(collinear_set)
-    assert report.ratio_collinear == 1
-    assert report.num_lines == 1

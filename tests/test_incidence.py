@@ -30,11 +30,13 @@ from ordlines import (
     max_collinear,
     max_coplanar,
     ordinary_lines,
+    plane_ordinary_profile,
     plane_summary,
     point_degrees,
     project_from,
     projective2,
     span_summary,
+    write_pointset,
 )
 from ordlines.geometry import Kind, int_hom, plane_key
 from ordlines.incidence import _line_groups, _plane_groups
@@ -74,6 +76,20 @@ def test_pointset_rejects_duplicates():
 def test_pointset_rejects_mixed_kinds():
     with pytest.raises(UsageError):
         PointSet([affine2(0, 0), affine3(0, 0, 0)])
+
+
+def test_pointset_homs_are_int_hom_and_leave_the_set_unchanged():
+    at_infinity = [projective2(1, Fraction(2, 3), 0), projective2(0, 1, Fraction(-5, 7))]
+    sets = [gen_random(12, 3, 50, 1), gen_random(12, 2, 50, 2), PointSet(at_infinity)]
+    for P in sets:
+        twin = PointSet(P.points, label=P.label)
+        text, digest = write_pointset(P), hash(P)
+        assert P.homs == tuple(int_hom(p) for p in P)
+        assert P.homs is P.homs
+        assert P == twin and hash(P) == digest == hash(twin)
+        assert write_pointset(P) == text
+    with pytest.raises(UsageError):
+        gen_hesse().homs
 
 
 # --- span summaries ------------------------------------------------------
@@ -241,6 +257,23 @@ def test_plane_kernel_matches_naive_oracle(P):
     assert ps.max_coplanar == max(len(m) for m in naive)
     for plane, members in ps.plane_points.items():
         assert members == tuple(i for i in range(len(P)) if incident(plane, P[i]))
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(planted_sets(), st.integers(min_value=3, max_value=6))
+def test_plane_profile_matches_naive_oracle(P, min_points):
+    naive = naive_plane_sets(P)
+    if not naive:
+        with pytest.raises(DegenerateInputError):
+            plane_ordinary_profile(P, min_points)
+        return
+    expected = [
+        (len(plane), naive_span(PointSet([P[i] for i in sorted(plane)])).get(2, 0))
+        for plane in naive
+        if len(plane) >= min_points
+    ]
+    expected.sort(key=lambda entry: (-entry[0], entry[1]))
+    assert plane_ordinary_profile(P, min_points) == expected
 
 
 @settings(max_examples=15, deadline=None)
