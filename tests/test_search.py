@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordlines import (
+    GenerationError,
     PointSet,
     SearchConfig,
     UsageError,
@@ -310,3 +311,25 @@ def test_golden_random_start_run():
     assert len(result.plane_profile) == 567
     assert Counter(result.plane_profile) == {(5, 4): 14, (5, 7): 2, (4, 3): 551}
     assert result.plane_profile[:16] == [(5, 4)] * 14 + [(5, 7)] * 2
+
+
+def test_golden_tight_cap_run():
+    """A cap of 3 on 8 points in a small box: the start check rejects five
+    random starts, and the cap rejects 191 of the 246 proposals it checks."""
+    result = minimize_ordinary(
+        SearchConfig(n=8, alpha=Fraction(3, 8), iterations=300, seed=7, coordinate_bound=2)
+    )
+    assert result.best_count == 28
+    assert result.trace == [(0, 28)]
+    assert result.accepted_moves == 55
+    assert _sha256_of(result.best) == (
+        "3894bea556870d46b5a4c0dcddf42e270d6f3756c8e9276cd6ddea8b4ba7a025"
+    )
+    assert result.plane_profile == []
+
+
+def test_golden_no_start_under_the_cap():
+    """Ten points in the same box always put four on some plane."""
+    config = SearchConfig(n=10, alpha=Fraction(3, 10), iterations=300, seed=7, coordinate_bound=2)
+    with pytest.raises(GenerationError, match="after 100 tries"):
+        minimize_ordinary(config)
