@@ -28,6 +28,7 @@ from .geometry import (
 )
 from .incidence import (
     PointSet,
+    _breaks_cap,
     _line_histogram,
     _plane_groups,
     ordinary_lines,
@@ -199,8 +200,8 @@ def verify_almost_coplanar(P: PointSet, k: int) -> AlmostCoplanarReport:
     if k < 0:
         raise UsageError("k must be nonnegative")
     n = len(P)
-    summary = plane_summary(P)
-    if summary.max_coplanar > n - k:
+    if _breaks_cap(P, n - k, "plane_summary"):
+        summary = plane_summary(P)
         offender = max(summary.plane_counts, key=summary.plane_counts.get)
         raise UsageError(
             f"plane {offender.vector} contains {summary.plane_counts[offender]} points, "
@@ -246,12 +247,10 @@ def plane_ordinary_profile(P: PointSet, min_points: int = 4) -> list[tuple[int, 
     Sorted by descending point count, then ascending ordinary count. Each
     subset is counted on the set's own integer coordinates, by index.
     """
-    groups = _plane_groups(P)
     homs = P.homs
     profile = [
         (len(members), _line_histogram([homs[i] for i in members], direction_key).ordinary)
-        for members in groups.values()
-        if len(members) >= min_points
+        for members in _plane_groups(P, min_points).values()
     ]
     profile.sort(key=lambda entry: (-entry[0], entry[1]))
     return profile

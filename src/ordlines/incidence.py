@@ -11,9 +11,12 @@ group pairs of one anchor's direction classes by the normal they span, so each
 group (a bundle) is the anchor's share of one plane, again complete at its
 first anchor, without touching raw triples. A bundle carries the count of its
 points beside its classes, so the heaviest plane through a point is read
-without listing members. The kernels read a rational set's integer
-coordinates, computed once per set (``PointSet.homs``), so a subset of the
-set is counted from its indices and never rebuilt as a set.
+without listing members. Whether some plane holds at least m points needs
+less: such a plane misses at most N - m of the anchor's N later points, so it
+contains two of the few largest classes, and only the bundles of those are
+formed and completed (``_some_plane_holds``). The kernels read a rational
+set's integer coordinates, computed once per set (``PointSet.homs``), so a
+subset of the set is counted from its indices and never rebuilt as a set.
 
 Projections from a set point are kept projective: the image of q under
 projection from p is the direction of the line pq, as a point of the rational
@@ -255,11 +258,22 @@ def max_collinear(P: PointSet) -> int:
 def max_coplanar(P: PointSet) -> int:
     """The most points of a 3D set on one spanned plane, as the heaviest plane of
     each anchor with the later points: a plane is complete at its first point."""
-    homs = _plane_homs(P, "max_coplanar")
-    best = max(_heaviest_plane(homs, i, range(i + 1, len(homs))) for i in range(len(homs) - 2))
-    if best < 3:
-        raise DegenerateInputError("all points are collinear; spanned planes are undefined")
-    return best
+    return max(
+        _heaviest_of_classes(list(classes), list(map(len, classes.values())))
+        for _, classes in _plane_anchors(_plane_homs(P, "max_coplanar"), 2)
+    )
+
+
+def _breaks_cap(P: PointSet, cap: int, name: str = "max_coplanar") -> bool:
+    """Whether some spanned plane of a 3D set holds more than cap points, that is
+    ``max_coplanar(P) > cap``, with its errors (``name`` is the caller named in a
+    usage error). Such a plane holds at least cap points after its first point,
+    so only anchors with that many later points are asked (``_some_plane_holds``).
+    """
+    return any(
+        _some_plane_holds(list(classes), list(map(len, classes.values())), cap)
+        for _, classes in _plane_anchors(_plane_homs(P, name), cap)
+    )
 
 
 def point_degrees(P: PointSet) -> list[int]:
@@ -319,11 +333,48 @@ def _heaviest_of_classes(dirs: list, sizes: list[int]) -> int:
     return 1 + max(map(itemgetter(0), _bundles(dirs, sizes).values()), default=0)
 
 
-def _heaviest_plane(homs, anchor: int, others) -> int:
-    """The most points on one plane through the anchor, counting the anchor and
-    the points ``others``; 1 when ``others`` is collinear with the anchor."""
-    classes = _direction_classes(homs, anchor, others)
-    return _heaviest_of_classes(list(classes), list(map(len, classes.values())))
+def _some_plane_holds(dirs: list, sizes: list[int], m: int) -> bool:
+    """Whether some plane through an anchor with these direction classes (see
+    ``_bundles``) holds at least m points besides the anchor, that is
+    ``_heaviest_of_classes(dirs, sizes) - 1 >= m``, pruned by pigeonhole.
+
+    With N points in the classes, such a plane misses at most slack = N - m of
+    them. Take classes, largest first, until the prefix holds slack + s + 2
+    points, s the largest class size. The plane keeps at least s + 2 of the
+    prefix's points, more than any one class holds, so it contains two prefix
+    classes: it is a bundle of the prefix alone with at least ``prefix total -
+    slack`` points. Only those bundles are completed with the other classes, by
+    the exact dot product of the normal with each direction. A margin of s + 1
+    would be enough; s + 2 keeps the prefix's 3-point planes from all being
+    candidates when s is 1. When the prefix is every class, this is the full
+    enumeration.
+    """
+    if m <= 0:
+        return True
+    slack = sum(sizes) - m
+    if slack < 0:
+        return False
+    order = sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True)
+    need = slack + sizes[order[0]] + 2
+    prefix, total = [], 0
+    for c in order:
+        if total >= need:
+            break
+        prefix.append(c)
+        total += sizes[c]
+    rest = order[len(prefix) :]
+    bundles = _bundles([dirs[c] for c in prefix], [sizes[c] for c in prefix])
+    for (n0, n1, n2), bundle in bundles.items():
+        count = bundle[0]
+        if count < total - slack:
+            continue
+        for c in rest:
+            d0, d1, d2 = dirs[c]
+            if n0 * d0 + n1 * d1 + n2 * d2 == 0:
+                count += sizes[c]
+        if count >= m:
+            return True
+    return False
 
 
 def _plane_homs(P: PointSet, name: str) -> tuple[tuple[int, ...], ...]:
@@ -335,26 +386,39 @@ def _plane_homs(P: PointSet, name: str) -> tuple[tuple[int, ...], ...]:
     return P.homs
 
 
-def _plane_groups(P: PointSet) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Map each spanned plane's key (as ``plane_key`` gives it) to the sorted
-    indices of the points of P on it.
+def _plane_anchors(homs, later: int):
+    """Yield (i, classes) for each anchor i of a 3D set with at least ``later``
+    later points (and at least 2), its later points grouped by direction
+    (``_direction_classes``). A plane is complete at its smallest-index anchor.
+    Raises DegenerateInputError first when every point is on one line, whether or
+    not anchor 0 is yielded."""
+    n = len(homs)
+    classes = _direction_classes(homs, 0, range(1, n))
+    if len(classes) < 2:
+        raise DegenerateInputError("all points are collinear; spanned planes are undefined")
+    for i in range(n - max(later, 2)):
+        yield i, classes if i == 0 else _direction_classes(homs, i, range(i + 1, n))
+
+
+def _plane_groups(P: PointSet, min_points: int = 3) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Map the key (as ``plane_key`` gives it) of each spanned plane with at least
+    ``min_points`` points to the sorted indices of the points of P on it.
 
     Each point i anchors the planes it spans with the points after it. A plane
-    is complete at its smallest-index anchor, so a key seen before is skipped.
+    is complete at its smallest-index anchor, so a key seen before is skipped,
+    and a bundle with fewer points is never keyed.
     """
     homs = _plane_homs(P, "plane_summary")
-    n = len(homs)
     groups: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for i in range(n - 2):
+    for i, classes in _plane_anchors(homs, min_points - 1):
         x0, x1, x2, w = homs[i]
-        classes = _direction_classes(homs, i, range(i + 1, n))
         members = list(classes.values())
         for (n0, n1, n2), bundle in _bundles(list(classes), list(map(len, members))).items():
+            if bundle[0] < min_points - 1:
+                continue
             key = primitive_signed((w * n0, w * n1, w * n2, -(n0 * x0 + n1 * x1 + n2 * x2)))
             if key not in groups:
                 groups[key] = (i, *sorted(j for c in bundle[1:] for j in members[c]))
-    if not groups:
-        raise DegenerateInputError("all points are collinear; spanned planes are undefined")
     return groups
 
 

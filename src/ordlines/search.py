@@ -19,7 +19,12 @@ checked once a proposal would otherwise be accepted, and only through the
 moved point: a move can create an overweight plane only through the point it
 placed. The lines through that point are read from its new row of keys, so
 the check keys no direction, and it counts points per plane instead of
-listing them.
+listing them. It only asks whether some plane through the point holds cap or
+more of the other points, so it crosses only the largest lines, those a
+pigeonhole count shows such a plane must contain two of
+(``incidence._some_plane_holds``). The start set gets the same check per
+anchor (``incidence._breaks_cap``), and the best set is checked off its plane
+profile, which lists every plane of 4 or more points.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from .analysis import plane_ordinary_profile
 from .constructions import _rand_fraction as _rand_q
 from .errors import DegenerateInputError, GenerationError, InvariantViolationError, UsageError
 from .geometry import Kind, Point, affine3, int_hom, plucker_key
-from .incidence import PointSet, _heaviest_of_classes, max_coplanar, span_summary
+from .incidence import PointSet, _breaks_cap, _some_plane_holds, span_summary
 
 __all__ = ["SearchConfig", "SearchResult", "minimize_ordinary"]
 
@@ -180,7 +185,7 @@ class _LineCounts:
         return row
 
     def classes(self, i: int) -> tuple[list[tuple[int, ...]], list[int]]:
-        """The lines through point i as ``_heaviest_of_classes`` takes them: a
+        """The lines through point i as ``_some_plane_holds`` takes them: a
         direction of each and the number of other points on it. Equal keys in row
         i are the same line through i, and entries (p03, p13, p23) of a Plücker
         key are a nonzero multiple of its direction."""
@@ -196,11 +201,10 @@ def _random_start(config: SearchConfig, rng: random.Random) -> PointSet:
             coords.add(tuple(_rand_q(rng, config.coordinate_bound) for _ in range(3)))
         start = PointSet([affine3(*c) for c in sorted(coords)])
         try:
-            heaviest = max_coplanar(start)
+            if not _breaks_cap(start, config.cap):
+                return start
         except DegenerateInputError:  # all collinear
             continue
-        if heaviest <= config.cap:
-            return start
     raise GenerationError("no random start satisfied the coplanarity cap after 100 tries")
 
 
@@ -234,7 +238,7 @@ def minimize_ordinary(config: SearchConfig) -> SearchResult:
 
     Deterministic given the config (seed included). The returned best set is
     re-verified from scratch: an independent recount must reproduce
-    ``best_count`` and the heaviest plane must respect the cap.
+    ``best_count`` and no plane of its profile may exceed the cap.
     """
     if not isinstance(config.seed, int) or not 0 <= config.seed < 2**64:
         raise UsageError("seed must be an unsigned 64-bit integer")
@@ -247,7 +251,7 @@ def minimize_ordinary(config: SearchConfig) -> SearchResult:
             raise UsageError(
                 f"initial set has {len(config.initial)} points, config says n={config.n}"
             )
-        if max_coplanar(config.initial) > config.cap:
+        if _breaks_cap(config.initial, config.cap):
             raise UsageError("initial set violates the coplanarity cap")
         start = config.initial
     else:
@@ -284,7 +288,7 @@ def minimize_ordinary(config: SearchConfig) -> SearchResult:
             p = _exp_neg(Fraction(candidate - current) / temp)
             ok = Fraction(rng.randrange(_DRAW_DEN), _DRAW_DEN) < p
         if ok:
-            ok = _heaviest_of_classes(*lines.classes(i)) <= config.cap
+            ok = not _some_plane_holds(*lines.classes(i), config.cap)
         if not ok:
             points[i], homs[i] = old_point, old_hom
             lines.replace(i, old_keys)
@@ -302,7 +306,10 @@ def minimize_ordinary(config: SearchConfig) -> SearchResult:
     recount = span_summary(best).ordinary
     if recount != best_count:
         raise InvariantViolationError(f"recount {recount} disagrees with best_count {best_count}")
-    if max_coplanar(best) > config.cap:
+    # The cap is at least 3, so a plane over it has 4 or more points and is in
+    # the profile, heaviest first.
+    profile = plane_ordinary_profile(best)
+    if profile and profile[0][0] > config.cap:
         raise InvariantViolationError("best set violates the coplanarity cap")
     return SearchResult(
         best=best,
@@ -310,5 +317,5 @@ def minimize_ordinary(config: SearchConfig) -> SearchResult:
         ratio=Fraction(best_count, config.n**2),
         accepted_moves=accepted,
         trace=trace,
-        plane_profile=plane_ordinary_profile(best),
+        plane_profile=profile,
     )

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ordlines import (
+    DegenerateInputError,
     DomainError,
     PointSet,
     UsageError,
@@ -151,6 +152,16 @@ def test_almost_coplanar_rejects_heavy_plane():
         verify_almost_coplanar(P, 10)
     with pytest.raises(UsageError):
         verify_almost_coplanar(P, -1)
+
+
+def test_almost_coplanar_usage_errors_name_plane_summary():
+    """The cap check keeps the messages of the plane listing it replaced."""
+    with pytest.raises(UsageError, match="^plane_summary needs a 3D affine set$"):
+        verify_almost_coplanar(PointSet([affine2(0, 0), affine2(1, 0), affine2(0, 1)]), 0)
+    with pytest.raises(UsageError, match="^plane_summary needs at least 3 points$"):
+        verify_almost_coplanar(PointSet([affine3(0, 0, 0), affine3(1, 0, 0)]), 0)
+    with pytest.raises(DegenerateInputError, match="^all points are collinear"):
+        verify_almost_coplanar(PointSet([affine3(t, t, t) for t in range(4)]), 0)
 
 
 def test_concurrent_probe_two_axes():

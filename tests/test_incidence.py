@@ -39,7 +39,7 @@ from ordlines import (
     write_pointset,
 )
 from ordlines.geometry import Kind, int_hom, plane_key
-from ordlines.incidence import _line_groups, _plane_groups
+from ordlines.incidence import _breaks_cap, _line_groups, _plane_groups
 from conftest import (
     big_rational,
     big_vec,
@@ -309,6 +309,57 @@ def test_max_coplanar_rejects_collinear_2d_and_small_sets(o, w, ts):
         max_coplanar(PointSet([affine3(*c) for c in run[:2]]))
     with pytest.raises(UsageError):
         max_coplanar(PointSet([affine2(0, 0), affine2(1, 0), affine2(0, 1), affine2(*o[:2])]))
+
+
+@settings(max_examples=15, deadline=None)
+@given(big_vec, big_vec, st.lists(small_int, min_size=3, max_size=8, unique=True))
+def test_cap_check_rejects_collinear_2d_and_small_sets(o, w, ts):
+    """``_breaks_cap`` raises what ``max_coplanar`` raises, at any cap."""
+    if not any(w):
+        w = (Fraction(1), Fraction(0), Fraction(0))
+    run = PointSet([affine3(*(a + t * d for a, d in zip(o, w))) for t in ts])
+    flat = PointSet([affine2(0, 0), affine2(1, 0), affine2(0, 1), affine2(1, 1)])
+    for cap in (2, 3, len(ts), len(ts) + 1):
+        with pytest.raises(DegenerateInputError, match="all points are collinear"):
+            _breaks_cap(run, cap)
+        with pytest.raises(UsageError, match="max_coplanar needs at least 3 points"):
+            _breaks_cap(PointSet(run.points[:2]), cap)
+        with pytest.raises(UsageError, match="max_coplanar needs a 3D affine set"):
+            _breaks_cap(flat, cap)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(planted_sets())
+def test_cap_check_and_filtered_planes_match_the_full_kernel(P):
+    """``_breaks_cap`` is ``max_coplanar(P) > cap`` at every cap, and the planes
+    of at least m points are the unfiltered planes restricted to them."""
+    if not naive_plane_sets(P):
+        for cap in range(2, len(P) + 1):
+            with pytest.raises(DegenerateInputError):
+                _breaks_cap(P, cap)
+        for m in range(3, 7):
+            with pytest.raises(DegenerateInputError):
+                _plane_groups(P, m)
+        return
+    heaviest = max_coplanar(P)
+    for cap in range(2, len(P) + 1):
+        assert _breaks_cap(P, cap) == (heaviest > cap), cap
+    groups = _plane_groups(P)
+    for m in range(3, 7):
+        expected = {key: members for key, members in groups.items() if len(members) >= m}
+        assert _plane_groups(P, m) == expected, m
+
+
+def test_filtered_planes_without_a_heavy_plane():
+    """A set whose heaviest plane is below min_points has no such planes but is
+    not degenerate; an all-collinear set still raises at every min_points."""
+    P = gen_random(6, 3, seed=1)
+    assert max_coplanar(P) == 3
+    assert _plane_groups(P, 4) == {}
+    run = PointSet([affine3(t, 2 * t, 3 * t) for t in range(6)])
+    for m in (3, 4, 7):
+        with pytest.raises(DegenerateInputError):
+            _plane_groups(run, m)
 
 
 @st.composite

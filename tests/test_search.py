@@ -28,7 +28,11 @@ from ordlines import (
     write_pointset,
 )
 from ordlines.geometry import int_hom, plucker_key
-from ordlines.incidence import _heaviest_of_classes, _heaviest_plane
+from ordlines.incidence import (
+    _direction_classes,
+    _heaviest_of_classes,
+    _some_plane_holds,
+)
 from ordlines.search import _exp_neg, _LineCounts, _propose
 from conftest import big_vec, naive_plane_sets, small_int
 
@@ -222,8 +226,8 @@ def test_cap_check_matches_naive_heaviest_plane(coords, data):
     moved = data.draw(st.integers(min_value=0, max_value=len(P) - 1))
     heaviest = max(len(s) for s in planes if moved in s)
     homs = [int_hom(p) for p in P]
-    others = [j for j in range(len(P)) if j != moved]
-    assert _heaviest_plane(homs, moved, others) == heaviest
+    classes = _direction_classes(homs, moved, [j for j in range(len(P)) if j != moved])
+    assert _heaviest_of_classes(list(classes), list(map(len, classes.values()))) == heaviest
 
 
 @st.composite
@@ -271,6 +275,36 @@ def test_cap_check_through_the_row_matches_naive(case, start):
         moved, [None if j == moved else plucker_key(homs[moved], h) for j, h in enumerate(homs)]
     )
     assert _heaviest_of_classes(*lines.classes(moved)) == heaviest
+
+
+
+@settings(max_examples=40, deadline=None)
+@given(_runs_through_a_point(), big_vec)
+def test_pruned_plane_check_matches_naive(case, start):
+    """The pigeonhole-pruned check answers "does some plane through the point hold
+    at least m other points" as the naive heaviest plane does, for every m, on
+    the point's direction classes and on the classes read from its row of the
+    line counts after a move."""
+    coords, moved = case
+    P = PointSet([affine3(*c) for c in coords])
+    planes = naive_plane_sets(P)
+    if not planes:
+        return  # all collinear: no plane, and the annealer never asks
+    others_heaviest = max(len(s) for s in planes if moved in s) - 1
+    homs = [int_hom(p) for p in P]
+    classes = _direction_classes(homs, moved, [j for j in range(len(P)) if j != moved])
+    direct = list(classes), list(map(len, classes.values()))
+    if start not in coords:
+        homs[moved] = int_hom(affine3(*start))
+    lines = _LineCounts(homs)
+    homs[moved] = int_hom(P[moved])
+    lines.replace(
+        moved, [None if j == moved else plucker_key(homs[moved], h) for j, h in enumerate(homs)]
+    )
+    row = lines.classes(moved)
+    for m in range(len(P) + 2):
+        assert _some_plane_holds(*direct, m) == (others_heaviest >= m), m
+        assert _some_plane_holds(*row, m) == (others_heaviest >= m), m
 
 
 # --- golden runs ------------------------------------------------------------
