@@ -20,8 +20,8 @@ moved point: a move can create an overweight plane only through the point it
 placed. The lines through that point are read from its new row of keys, so
 the check keys no direction, and it counts points per plane instead of
 listing them. It only asks whether some plane through the point holds cap or
-more of the other points, so it crosses only the largest lines, those a
-pigeonhole count shows such a plane must contain two of
+more of the other points, so it crosses only the largest lines through the
+point: a pigeonhole count shows that such a plane contains two of them
 (``incidence._some_plane_holds``). The start set gets the same check per
 anchor (``incidence._breaks_cap``), and the best set is checked off its plane
 profile, which lists every plane of 4 or more points.
