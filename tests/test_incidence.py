@@ -19,6 +19,7 @@ from ordlines import (
     canon_line,
     collinear,
     coplanar,
+    gen_coplanar_heavy,
     gen_grid2d,
     gen_hesse,
     gen_near_coplanar,
@@ -611,4 +612,51 @@ def test_golden_random_2d_degrees():
     assert (len(degrees), sum(degrees), max(degrees)) == (200, 39788, 199)
     assert _sha256_of(degrees) == (
         "49b4a2da08f0979a9fdda550bd10c3a2eca218c9b20a3143220f3825cfc1f4b5"
+    )
+
+
+def _projective_box() -> PointSet:
+    """Every projective point (x : y : z) with |x|, |y| <= 2 and z in {0, 1}:
+    25 affine points and 8 points at infinity."""
+    pts = {
+        projective2(x, y, z)
+        for x in range(-2, 3)
+        for y in range(-2, 3)
+        for z in (0, 1)
+        if (x, y, z) != (0, 0, 0)
+    }
+    return PointSet(sorted(pts, key=lambda p: p.sort_key()), label="projective-box")
+
+
+@pytest.mark.parametrize(
+    "make, total, top, digest",
+    [
+        (
+            lambda: gen_grid2d(12, 12), 11116, 87,
+            "300026504b55178e67495e704dc6dc96cc7489c66ca1781799d507bb67cc4a43",
+        ),
+        (  # rational coordinates, so integer weights other than 1
+            lambda: gen_random(60, 2, 50, seed=5), 3540, 59,
+            "bd6ed6341d44745bf7edd57ce2c0691aab446904ac0528ef9473baff3385a804",
+        ),
+        (
+            _projective_box, 448, 16,
+            "e9e9a0170f94c702f20b50c0d53df4d90d6b129e2b81f819abc46f5cf3d1537f",
+        ),
+    ],
+    ids=["grid12", "random60", "projective-box"],
+)
+def test_golden_point_degrees(make, total, top, digest):
+    degrees = point_degrees(make())
+    assert (sum(degrees), max(degrees)) == (total, top)
+    assert _sha256_of(degrees) == digest
+
+
+def test_golden_coplanar_heavy_planes():
+    P = gen_coplanar_heavy(30, Fraction(1, 2), 0)
+    assert any(h[3] != 1 for h in P.homs)  # plane keys take the weighted path
+    s = plane_summary(P)
+    assert (len(s.plane_counts), s.max_coplanar) == (3606, 15)
+    assert _sha256_of([(plane.vector, members) for plane, members in s.plane_points.items()]) == (
+        "69e324e6eefe297196b2804ac684120afaed3474c6def5418adbcf21ff67e570"
     )
