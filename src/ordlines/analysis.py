@@ -22,7 +22,7 @@ from .geometry import (
     Point,
     _plucker_incident,
     canon_line,
-    direction_key,
+    direction_row,
     incident,
     skew,
 )
@@ -249,7 +249,7 @@ def plane_ordinary_profile(P: PointSet, min_points: int = 4) -> list[tuple[int, 
     """
     homs = P.homs
     profile = [
-        (len(members), _line_histogram([homs[i] for i in members], direction_key).ordinary)
+        (len(members), _line_histogram([homs[i] for i in members], direction_row).ordinary)
         for members in _plane_groups(P, min_points).values()
     ]
     profile.sort(key=lambda entry: (-entry[0], entry[1]))

@@ -15,7 +15,7 @@ from math import comb, floor
 from .errors import GenerationError, InvariantViolationError, UsageError
 from .fields import Eisenstein, W
 from .geometry import affine2, affine3, projective2
-from .incidence import PointSet, max_coplanar
+from .incidence import PointSet, _breaks_cap
 
 __all__ = [
     "BoroczkyModelSummary",
@@ -84,7 +84,7 @@ def gen_near_coplanar(n: int, k: int, seed: int = 0) -> PointSet:
         pts += [affine3(x, y, 0) for x, y in sorted(planar)]
         pts += [affine3(0, 0, t) for t in range(1, k + 1)]
         ps = PointSet(pts, label=f"near-coplanar-{n}-{k}-seed{seed}")
-        if max_coplanar(ps) == n - k:
+        if not _breaks_cap(ps, n - k):  # z = 0 holds n - k points
             return ps
     raise GenerationError(
         f"no admissible near-coplanar set for n={n}, k={k} after {RETRY_LIMIT} tries"
@@ -116,7 +116,7 @@ def gen_coplanar_heavy(n: int, alpha: Fraction, seed: int = 0) -> PointSet:
             )
         pts = [affine3(*c) for c in sorted(coords, key=lambda c: (c[2], c[0], c[1]))]
         ps = PointSet(pts, label=f"coplanar-heavy-{n}-{alpha}-seed{seed}")
-        if max_coplanar(ps) == m:
+        if not _breaks_cap(ps, m):  # z = 0 holds m points
             return ps
     raise GenerationError(
         f"no admissible coplanar-heavy set for n={n}, alpha={alpha} after {RETRY_LIMIT} tries"

@@ -194,43 +194,100 @@ def primitive_signed(v: tuple[int, ...]) -> tuple[int, ...]:
             return v if x > 0 else tuple([-y for y in v])
 
 
-def _primitive3(v0: int, v1: int, v2: int) -> tuple[int, int, int]:
-    """``primitive_signed((v0, v1, v2))`` without its loops, for the keys that
-    are built most often."""
-    g = math.gcd(v0, v1, v2)
-    if g == 0:
-        raise DegenerateInputError("zero coefficient vector")
-    if (v0 or v1 or v2) < 0:  # the first nonzero entry
-        g = -g
-    return (v0, v1, v2) if g == 1 else (v0 // g, v1 // g, v2 // g)
+# Each key has a row form that keys one anchor against a list of points in one
+# call: the entries are formed and normalized in line (one ``math.gcd``, the
+# sign of the first nonzero entry read as ``(v0 or v1 or ...) < 0``), exactly as
+# ``primitive_signed`` would, and a zero vector raises the same error. The pair
+# forms are a row of one.
+
+
+def cross_row(a: tuple[int, ...], bs) -> list[tuple[int, int, int]]:
+    """``cross_key(a, b)`` for each integer homogeneous 3-tuple b of bs."""
+    a0, a1, a2 = a
+    gcd = math.gcd
+    out = []
+    append = out.append
+    for b0, b1, b2 in bs:
+        v0, v1, v2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+        g = gcd(v0, v1, v2)
+        if (v0 or v1 or v2) < 0:
+            g = -g
+        elif not g:
+            raise DegenerateInputError("zero coefficient vector")
+        append((v0, v1, v2) if g == 1 else (v0 // g, v1 // g, v2 // g))
+    return out
+
+
+def direction_row(anchor: tuple[int, ...], qs) -> list[tuple[int, int, int]]:
+    """``direction_key(anchor, q)`` for each integer homogeneous 4-tuple q of qs."""
+    x0, x1, x2, w = anchor
+    gcd = math.gcd
+    out = []
+    append = out.append
+    for q0, q1, q2, wq in qs:
+        v0, v1, v2 = q0 * w - x0 * wq, q1 * w - x1 * wq, q2 * w - x2 * wq
+        g = gcd(v0, v1, v2)
+        if (v0 or v1 or v2) < 0:
+            g = -g
+        elif not g:
+            raise DegenerateInputError("zero coefficient vector")
+        append((v0, v1, v2) if g == 1 else (v0 // g, v1 // g, v2 // g))
+    return out
+
+
+def direction2_row(anchor: tuple[int, ...], qs) -> list[tuple[int, int]]:
+    """The canonical direction from an affine 2D anchor to each point of qs
+    (integer homogeneous (x, y, w) with w > 0): the primitive signed
+    (x*w_a - x_a*w, y*w_a - y_a*w), a positive multiple of q - anchor. Two points
+    share it exactly when they are collinear with the anchor."""
+    x, y, w = anchor
+    gcd = math.gcd
+    out = []
+    append = out.append
+    for qx, qy, wq in qs:
+        v0, v1 = qx * w - x * wq, qy * w - y * wq
+        g = gcd(v0, v1)
+        if (v0 or v1) < 0:
+            g = -g
+        elif not g:
+            raise DegenerateInputError("zero coefficient vector")
+        append((v0, v1) if g == 1 else (v0 // g, v1 // g))
+    return out
+
+
+def plucker_row(a: tuple[int, ...], bs) -> list[tuple[int, ...]]:
+    """``plucker_key(a, b)`` for each integer homogeneous 4-tuple b of bs."""
+    a0, a1, a2, a3 = a
+    gcd = math.gcd
+    out = []
+    append = out.append
+    for b0, b1, b2, b3 in bs:
+        p01 = a0 * b1 - a1 * b0
+        p02 = a0 * b2 - a2 * b0
+        p03 = a0 * b3 - a3 * b0
+        p12 = a1 * b2 - a2 * b1
+        p13 = a1 * b3 - a3 * b1
+        p23 = a2 * b3 - a3 * b2
+        g = gcd(p01, p02, p03, p12, p13, p23)
+        if (p01 or p02 or p03 or p12 or p13 or p23) < 0:
+            g = -g
+        elif not g:
+            raise DegenerateInputError("zero coefficient vector")
+        if g == 1:
+            append((p01, p02, p03, p12, p13, p23))
+        else:
+            append((p01 // g, p02 // g, p03 // g, p12 // g, p13 // g, p23 // g))
+    return out
 
 
 def cross_key(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Canonical line key for two integer homogeneous 3-tuples."""
-    return _primitive3(
-        a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]
-    )
+    return cross_row(a, (b,))[0]
 
 
 def plucker_key(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Canonical line key (Plücker 6-vector) for two integer homogeneous 4-tuples,
-    normalized in line as ``primitive_signed`` would."""
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    p01 = a0 * b1 - a1 * b0
-    p02 = a0 * b2 - a2 * b0
-    p03 = a0 * b3 - a3 * b0
-    p12 = a1 * b2 - a2 * b1
-    p13 = a1 * b3 - a3 * b1
-    p23 = a2 * b3 - a3 * b2
-    g = math.gcd(p01, p02, p03, p12, p13, p23)
-    if g == 0:
-        raise DegenerateInputError("zero coefficient vector")
-    if (p01 or p02 or p03 or p12 or p13 or p23) < 0:  # the first nonzero entry
-        g = -g
-    if g == 1:
-        return (p01, p02, p03, p12, p13, p23)
-    return (p01 // g, p02 // g, p03 // g, p12 // g, p13 // g, p23 // g)
+    """Canonical line key (Plücker 6-vector) for two integer homogeneous 4-tuples."""
+    return plucker_row(a, (b,))[0]
 
 
 def plane_key(a: tuple[int, ...], b: tuple[int, ...], c: tuple[int, ...]) -> tuple[int, ...]:
@@ -249,10 +306,7 @@ def plane_key(a: tuple[int, ...], b: tuple[int, ...], c: tuple[int, ...]) -> tup
 
 def direction_key(anchor: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """Canonical direction from an anchor to another point (integer homogeneous 4-tuples)."""
-    wa, wq = anchor[3], q[3]
-    return _primitive3(
-        q[0] * wa - anchor[0] * wq, q[1] * wa - anchor[1] * wq, q[2] * wa - anchor[2] * wq
-    )
+    return direction_row(anchor, (q,))[0]
 
 
 def _plucker_incident(plucker: tuple[int, ...], x: tuple[int, ...]) -> bool:

@@ -31,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
-from math import comb
+from math import comb, gcd
 from operator import itemgetter
 
 from .errors import DegenerateInputError, InvariantViolationError, UsageError
@@ -43,11 +43,11 @@ from .geometry import (
     Point,
     _plucker_incident,
     canon_line,
-    cross_key,
-    direction_key,
+    cross_row,
+    direction2_row,
+    direction_row,
     int_hom,
-    plucker_key,
-    primitive_signed,
+    plucker_row,
     projective2,
 )
 
@@ -181,18 +181,27 @@ class KellyTraceReport:
     found_ordinary: list[CanonLine3]
 
 
+def _canon_line_row(p: Point, qs) -> list:
+    return list(map(canon_line, repeat(p), qs))
+
+
 def _pair_keys(P: PointSet, lines: bool):
-    """The items of P and a key on two of them that names the line they span, or,
-    unless ``lines``, only the line through the first (its direction in 3D)."""
+    """The items of P and a row key: ``row(items[i], items[i + 1:])`` keys each
+    later item by the line it spans with item i, or, unless ``lines``, only by
+    that line through item i (a direction, in a rational affine set). The one
+    place a kernel is chosen, by the kind of P."""
     if P.field_name != "Q":
-        return P.points, canon_line
+        return P.points, _canon_line_row
     if P.kind is Kind.AFFINE3:
-        return P.homs, plucker_key if lines else direction_key
-    return P.homs, cross_key
+        return P.homs, plucker_row if lines else direction_row
+    if P.kind is Kind.AFFINE2 and not lines:
+        return P.homs, direction2_row
+    return P.homs, cross_row
 
 
-def _group_lines(items, key) -> dict:
-    """Map each line spanned by the items to the sorted positions of its items.
+def _group_lines(items, row) -> dict:
+    """Map each line spanned by the items to the sorted positions of its items,
+    with ``row`` a row key as ``_pair_keys`` gives it (naming whole lines).
 
     A line is complete at its smallest-index anchor, so a key seen before is skipped.
     """
@@ -200,7 +209,7 @@ def _group_lines(items, key) -> dict:
     groups: dict = {}
     for i in range(n - 1):
         classes: dict = {}
-        for j, k in enumerate(map(key, repeat(items[i]), items[i + 1 :]), i + 1):
+        for j, k in enumerate(row(items[i], items[i + 1 :]), i + 1):
             if k in classes:
                 classes[k].append(j)
             else:
@@ -216,14 +225,14 @@ def _line_groups(P: PointSet) -> dict:
     return _group_lines(*_pair_keys(P, lines=True))
 
 
-def _line_histogram(items, key) -> SpanSummary:
-    """The span summary of the items, with ``key`` naming the line from the first
-    of two items through the second, as t[k] = h[k-1] - h[k] over the anchors'
-    class sizes h (see the module docstring)."""
+def _line_histogram(items, row) -> SpanSummary:
+    """The span summary of the items, with ``row`` a row key as ``_pair_keys``
+    gives it, as t[k] = h[k-1] - h[k] over the anchors' class sizes h (see the
+    module docstring)."""
     n = len(items)
     h: Counter = Counter()
     for i in range(n - 1):
-        h.update(Counter(map(key, repeat(items[i]), items[i + 1 :])).values())
+        h.update(Counter(row(items[i], items[i + 1 :])).values())
     t = {k: h[k - 1] - h[k] for k in range(2, max(h) + 2) if h[k - 1] != h[k]}
     if min(t.values()) < 0:
         raise InvariantViolationError("class-size histogram increases with size")
@@ -280,17 +289,29 @@ def point_degrees(P: PointSet) -> list[int]:
     """Number of spanned lines through each point, indexed like P."""
     if len(P) < 2:
         raise UsageError("point_degrees needs at least 2 points")
-    degrees = Counter(chain.from_iterable(_line_groups(P).values()))
-    return [degrees[i] for i in range(len(P))]
+    items, row = _pair_keys(P, lines=False)
+    n = len(items)
+    degrees = [0] * n
+    for i in range(n - 1):
+        keys = row(items[i], items[i + 1 :])
+        counts = Counter(keys)
+        # Point i starts one class per line on which it is not the last point;
+        # the last point j of a line is alone in its class at the line's
+        # second-to-last point, and only there.
+        degrees[i] += len(counts)
+        last = dict(zip(keys, range(i + 1, n)))
+        for k, c in counts.items():
+            if c == 1:
+                degrees[last[k]] += 1
+    return degrees
 
 
 def _direction_classes(homs, anchor: int, others) -> dict[tuple[int, ...], list[int]]:
     """The points ``others`` of a 3D set grouped by their direction from the
     anchor, one class per line through the anchor, in order of first member."""
-    ha = homs[anchor]
+    others = list(others)
     classes: dict[tuple[int, ...], list[int]] = {}
-    for j in others:
-        d = direction_key(ha, homs[j])
+    for j, d in zip(others, direction_row(homs[anchor], [homs[j] for j in others])):
         members = classes.get(d)
         if members is None:
             classes[d] = [j]
@@ -312,9 +333,8 @@ def _bundles(dirs: list, sizes: list[int]) -> dict[tuple[int, ...], list[int]]:
     """
     bundles: dict[tuple[int, ...], list[int]] = {}
     for a in range(len(dirs) - 1):
-        da, sa = dirs[a], sizes[a]
-        for b in range(a + 1, len(dirs)):
-            normal = cross_key(da, dirs[b])
+        sa = sizes[a]
+        for b, normal in enumerate(cross_row(dirs[a], dirs[a + 1 :]), a + 1):
             bundle = bundles.get(normal)
             if bundle is None:
                 bundles[normal] = [sa + sizes[b], a, b]
@@ -406,7 +426,10 @@ def _plane_groups(P: PointSet, min_points: int = 3) -> dict[tuple[int, ...], tup
 
     Each point i anchors the planes it spans with the points after it. A plane
     is complete at its smallest-index anchor, so a key seen before is skipped,
-    and a bundle with fewer points is never keyed.
+    and a bundle with fewer points is never keyed. A bundle's normal n is
+    primitive with a positive leading entry and the anchor's weight w is
+    positive, so the plane's vector (w*n, d) has content gcd(w, d) and needs no
+    sign change.
     """
     homs = _plane_homs(P, "plane_summary")
     groups: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -416,7 +439,13 @@ def _plane_groups(P: PointSet, min_points: int = 3) -> dict[tuple[int, ...], tup
         for (n0, n1, n2), bundle in _bundles(list(classes), list(map(len, members))).items():
             if bundle[0] < min_points - 1:
                 continue
-            key = primitive_signed((w * n0, w * n1, w * n2, -(n0 * x0 + n1 * x1 + n2 * x2)))
+            d = -(n0 * x0 + n1 * x1 + n2 * x2)
+            if w == 1:
+                key = (n0, n1, n2, d)
+            else:
+                g = gcd(w, d)
+                f = w // g
+                key = (f * n0, f * n1, f * n2, d // g)
             if key not in groups:
                 groups[key] = (i, *sorted(j for c in bundle[1:] for j in members[c]))
     return groups
@@ -488,7 +517,7 @@ def kelly_trace(P: PointSet, center_index: int) -> KellyTraceReport:
         for k in g:
             local.extend(homs[i] for i in img.groups[k][1])
         found_here = 0
-        for key, members in _group_lines(local, plucker_key).items():
+        for key, members in _group_lines(local, plucker_row).items():
             if len(members) == 2 and 0 not in members:
                 found.add(CanonLine3(key))
                 found_here += 1

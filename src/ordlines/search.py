@@ -38,7 +38,7 @@ from math import floor
 from .analysis import plane_ordinary_profile
 from .constructions import _rand_fraction as _rand_q
 from .errors import DegenerateInputError, GenerationError, InvariantViolationError, UsageError
-from .geometry import Kind, Point, affine3, int_hom, plucker_key
+from .geometry import Kind, Point, affine3, int_hom, plucker_row
 from .incidence import PointSet, _breaks_cap, _some_plane_holds, span_summary
 
 __all__ = ["SearchConfig", "SearchResult", "minimize_ordinary"]
@@ -143,8 +143,7 @@ class _LineCounts:
         self.pairs: dict[tuple[int, ...], int] = {}
         self.ordinary = 0
         for i in range(n - 1):
-            for j in range(i + 1, n):
-                key = plucker_key(homs[i], homs[j])
+            for j, key in enumerate(plucker_row(homs[i], homs[i + 1 :]), i + 1):
                 self.keys[i][j] = self.keys[j][i] = key
                 self._add(key)
 
@@ -279,9 +278,9 @@ def minimize_ordinary(config: SearchConfig) -> SearchResult:
         old_point, old_hom = points[i], homs[i]
         new_hom = int_hom(new_point)
         points[i], homs[i] = new_point, new_hom
-        old_keys = lines.replace(
-            i, [None if j == i else plucker_key(new_hom, hj) for j, hj in enumerate(homs)]
-        )
+        new_keys = plucker_row(new_hom, homs[:i] + homs[i + 1 :])
+        new_keys.insert(i, None)
+        old_keys = lines.replace(i, new_keys)
         candidate = lines.ordinary
         ok = lines.num_lines > 1
         if ok and candidate >= current:

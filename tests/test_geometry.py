@@ -25,7 +25,17 @@ from ordlines import (
     projective2,
     skew,
 )
-from ordlines.geometry import cross_key, direction_key, int_hom, plucker_key, primitive_signed
+from ordlines.geometry import (
+    cross_key,
+    cross_row,
+    direction2_row,
+    direction_key,
+    direction_row,
+    int_hom,
+    plucker_key,
+    plucker_row,
+    primitive_signed,
+)
 from conftest import big_vec, rand_fraction
 
 
@@ -171,14 +181,35 @@ _RAW = {
     ),
 }
 
+# Each row form, with the length of the tuples it takes and its raw vector.
+_ROWS = {
+    cross_row: (3, _RAW[cross_key]),
+    direction_row: (4, _RAW[direction_key]),
+    plucker_row: (4, _RAW[plucker_key]),
+    direction2_row: (3, lambda a, b: (b[0] * a[2] - a[0] * b[2], b[1] * a[2] - a[1] * b[2])),
+}
+
 
 @settings(max_examples=200, deadline=None)
-@given(_vec4, _vec4, st.integers(min_value=2, max_value=1 << 64))
-def test_keys_normalize_like_primitive_signed(a, b, content):
-    """Each key is primitive_signed of its raw vector. Scaling both inputs by
-    content multiplies every raw entry by content squared, so the raw vector
-    has content > 1; a zero raw vector raises."""
-    a, b = (tuple(content * x for x in v) for v in (a, b))
+@given(_vec4, st.lists(_vec4, min_size=1, max_size=4), st.integers(min_value=2, max_value=1 << 64))
+def test_keys_normalize_like_primitive_signed(a, bs, content):
+    """Each key is primitive_signed of its raw vector, and each row form is the
+    list of those keys from one anchor. Scaling the inputs by content multiplies
+    every raw entry by content squared, so the raw vector has content > 1; a
+    zero raw vector raises, in a pair or anywhere in a row."""
+    a, *bs = (tuple(content * x for x in v) for v in (a, *bs))
+    for row, (size, raw) in _ROWS.items():
+        anchor, rest = a[:size], [q[:size] for q in bs]
+        vs = [raw(anchor, q) for q in rest]
+        if all(map(any, vs)):
+            assert row(anchor, rest) == list(map(primitive_signed, vs))
+        else:
+            with pytest.raises(DegenerateInputError):
+                row(anchor, rest)
+        with pytest.raises(DegenerateInputError):
+            row(anchor, [*rest, anchor])  # a point equal to the anchor
+        assert row(anchor, []) == []
+    b = bs[0]
     for key, raw in _RAW.items():
         args = (a[:3], b[:3]) if key is cross_key else (a, b)
         v = raw(*args)

@@ -395,6 +395,7 @@ def _assert_line_kernel_matches_naive(P):
     s = span_summary(P)
     assert s.t == naive_span(P)
     assert (s.num_lines, s.max_collinear) == (len(naive), max(map(len, naive)))
+    assert point_degrees(P) == [sum(i in members for members in naive) for i in range(len(P))]
     groups = _line_groups(P)
     assert {frozenset(members) for members in groups.values()} == naive
     for key, members in groups.items():
