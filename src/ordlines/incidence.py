@@ -6,10 +6,24 @@ classes of sizes k-1, ..., 1 at its first k-1 points, so with h[s] the number
 of (anchor, class) pairs of size s, the line histogram is t[k] = h[k-1] - h[k]:
 it needs one anchor's classes at a time, never a store of all lines. A line's
 first anchor (its smallest index) sees all of its points, which gives the exact
-point set of every spanned line for degrees and ordinary-line lists. Planes
-group pairs of one anchor's direction classes by the normal they span, so each
-group (a bundle) is the anchor's share of one plane, again complete at its
-first anchor, without touching raw triples. A bundle carries the count of its
+point set of every spanned line for ordinary-line lists. Degrees need no line
+either: point i starts one class at anchor i per line on which it is not the
+last point, and a line's last point is alone in its class at the line's
+second-to-last point and nowhere else, so the degree of i is its class count
+plus the singleton classes {i} at earlier anchors.
+
+Each anchor's row of keys is one call of a row form from ``geometry``
+(``plucker_row``, ``direction_row``, ``cross_row``, ``direction2_row``), which
+keys the anchor against a list of points and normalizes in line, with no
+Python call per pair; ``_pair_keys`` picks it by the kind of set. On an affine
+2D set a class needs only the direction from the anchor, so it is keyed by the
+2-entry primitive (x*w_a - x_a*w, y*w_a - y_a*w), a positive multiple of
+q - a; whole line keys (``cross_row``, ``plucker_row``) are formed only where
+lines are listed.
+
+Planes group pairs of one anchor's direction classes by the normal they span,
+so each group (a bundle) is the anchor's share of one plane, again complete at
+its first anchor, without touching raw triples. A bundle carries the count of its
 points beside its classes, so the heaviest plane through a point is read
 without listing members. Whether some plane holds at least m points needs
 less: such a plane misses at most N - m of the anchor's N later points, so it
@@ -440,12 +454,9 @@ def _plane_groups(P: PointSet, min_points: int = 3) -> dict[tuple[int, ...], tup
             if bundle[0] < min_points - 1:
                 continue
             d = -(n0 * x0 + n1 * x1 + n2 * x2)
-            if w == 1:
-                key = (n0, n1, n2, d)
-            else:
-                g = gcd(w, d)
-                f = w // g
-                key = (f * n0, f * n1, f * n2, d // g)
+            g = gcd(w, d)
+            f = w // g
+            key = (f * n0, f * n1, f * n2, d // g)
             if key not in groups:
                 groups[key] = (i, *sorted(j for c in bundle[1:] for j in members[c]))
     return groups
