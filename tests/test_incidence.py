@@ -434,6 +434,21 @@ def test_ordinary_lines_2d_in_sort_key_order(P):
     assert {line.vector for line in lines} == {canon_line(P[a], P[b]).vector for a, b in ordinary}
 
 
+
+@pytest.mark.parametrize("removed", [(0,), (4,), (8,), (0, 1), (2, 7), (3, 5)])
+def test_ordinary_lines_qw_match_naive_on_hesse_minus_points(removed):
+    # Each of the 4 Hesse lines through a removed point keeps 2 points; two
+    # removed points share one line, which is left with 1 point and no span.
+    H = gen_hesse()
+    P = PointSet([p for i, p in enumerate(H) if i not in removed])
+    lines = ordinary_lines(P)
+    assert len(lines) == (4 if len(removed) == 1 else 6)
+    assert lines == sorted(lines, key=lambda line: line.sort_key())
+    ordinary = [sorted(m) for m in naive_line_sets(P) if len(m) == 2]
+    assert set(lines) == {canon_line(P[a], P[b]) for a, b in ordinary}
+    assert ordinary_lines(H) == []
+
+
 # --- projection ----------------------------------------------------------
 
 
@@ -661,3 +676,64 @@ def test_golden_coplanar_heavy_planes():
     assert _sha256_of([(plane.vector, members) for plane, members in s.plane_points.items()]) == (
         "69e324e6eefe297196b2804ac684120afaed3474c6def5418adbcf21ff67e570"
     )
+
+
+@pytest.mark.parametrize(
+    "make, count, digest",
+    [
+        (
+            lambda: gen_grid2d(12, 12), 3824,
+            "d5af6729454d63899cac073cf01057a49d7c729468823aaed57ae7274b431aa1",
+        ),
+        (
+            _projective_box, 100,
+            "49ba1faac636d3d8eff2f78b2f59fda64a7553243699394b7b551b44dd6cb478",
+        ),
+    ],
+    ids=["grid12", "projective-box"],
+)
+def test_golden_ordinary_lines_2d(make, count, digest):
+    lines = ordinary_lines(make())
+    assert len(lines) == count
+    assert _sha256_of([line.vector for line in lines]) == digest
+
+
+def test_golden_two_skew_ordinary_lines():
+    lines = ordinary_lines(gen_two_skew(10))
+    assert len(lines) == 100
+    assert _sha256_of([line.plucker for line in lines]) == (
+        "856470f8497c1fe297d8bca929bf868e0a91d8c894b59e235968b3f5ee4fba39"
+    )
+
+
+@pytest.mark.parametrize(
+    "make, count, top, digest",
+    [
+        (
+            lambda: gen_random(40, 3, 50, seed=3), 9880, 3,
+            "7afb11847b3d32108a7e911e24b462b6e980f4a1ec02bd422500d5cecc1b9974",
+        ),
+        (
+            lambda: gen_coplanar_heavy(30, Fraction(1, 2), 0), 3606, 15,
+            "24ed13aee140f27b93d631d495f4e1d6ec3d7d5dc1caaf527d2d26a69e68983d",
+        ),
+    ],
+    ids=["random40", "coplanar-heavy30"],
+)
+def test_golden_plane_counts(make, count, top, digest):
+    s = plane_summary(make())
+    assert (len(s.plane_counts), s.max_coplanar) == (count, top)
+    assert _sha256_of([(plane.vector, c) for plane, c in s.plane_counts.items()]) == digest
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(planted_sets())
+def test_plane_summary_dicts_share_one_sorted_order(P):
+    try:
+        s = plane_summary(P)
+    except DegenerateInputError:  # every point on one line
+        return
+    planes = list(s.plane_counts)
+    assert planes == list(s.plane_points)
+    assert planes == sorted(planes, key=lambda plane: plane.sort_key())
+    assert [s.plane_counts[p] for p in planes] == [len(s.plane_points[p]) for p in planes]
