@@ -200,6 +200,8 @@ def verify_almost_coplanar(P: PointSet, k: int) -> AlmostCoplanarReport:
     if k < 0:
         raise UsageError("k must be nonnegative")
     n = len(P)
+    if k > n:
+        raise UsageError(f"k must be at most n = {n}")
     if _breaks_cap(P, n - k, "plane_summary"):
         summary = plane_summary(P)
         offender = max(summary.plane_counts, key=summary.plane_counts.get)

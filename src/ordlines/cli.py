@@ -39,7 +39,7 @@ from .errors import OrdlinesError, ParseError, UsageError
 from .geometry import CanonLine3, Kind, canon_line, make_point, skew
 from .incidence import (
     PointSet,
-    _line_groups,
+    _pair_counts,
     image_point_set,
     kelly_trace,
     plane_summary,
@@ -257,11 +257,12 @@ def _parse_indices(text: str, n: int, name: str) -> tuple[int, int]:
 def _heaviest_skew_pair(ps: PointSet):
     if ps.kind is not Kind.AFFINE3:
         raise UsageError("skew lines need a 3D affine set")
-    groups = _line_groups(ps)
-    by_weight = [CanonLine3(k) for k in sorted(groups, key=lambda k: (-len(groups[k]), k))]
-    for line in by_weight[1:]:
-        if skew(by_weight[0], line):
-            return by_weight[0], line
+    pairs = _pair_counts(ps)
+    by_weight = map(CanonLine3, sorted(pairs, key=lambda k: (-pairs[k], k)))
+    heaviest = next(by_weight, None)
+    for line in by_weight:
+        if skew(heaviest, line):
+            return heaviest, line
     raise UsageError("no pair of skew spanned lines in this set")
 
 

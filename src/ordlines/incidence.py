@@ -4,11 +4,11 @@ Lines and planes come from kernels that work per anchor point. From anchor i,
 the later points fall into one class per line through i. A k-point line gives
 classes of sizes k-1, ..., 1 at its first k-1 points, so with h[s] the number
 of (anchor, class) pairs of size s, the line histogram is t[k] = h[k-1] - h[k]:
-it needs one anchor's classes at a time, never a store of all lines. A line's
-first anchor (its smallest index) sees all of its points, which gives the exact
-point set of every spanned line for ordinary-line lists. Degrees need no line
-either: point i starts one class at anchor i per line on which it is not the
-last point, and a line's last point is alone in its class at the line's
+it needs one anchor's classes at a time, never a store of all lines. Ordinary
+lines need no point lists: a k-point line is keyed by C(k, 2) pairs over all
+anchors, so it is ordinary exactly when its key is counted once. Degrees need
+no line either: point i starts one class at anchor i per line on which it is not
+the last point, and a line's last point is alone in its class at the line's
 second-to-last point and nowhere else, so the degree of i is its class count
 plus the singleton classes {i} at earlier anchors.
 
@@ -234,9 +234,11 @@ def _group_lines(items, row) -> dict:
     return groups
 
 
-def _line_groups(P: PointSet) -> dict:
-    """Map each spanned line's canonical key to the sorted indices of its points."""
-    return _group_lines(*_pair_keys(P, lines=True))
+def _pair_counts(P: PointSet) -> Counter:
+    """Count the point pairs on each spanned line's key: C(k, 2) on a k-point line."""
+    items, row = _pair_keys(P, lines=True)
+    rows = (row(items[i], items[i + 1 :]) for i in range(len(items) - 1))
+    return Counter(chain.from_iterable(rows))
 
 
 def _line_histogram(items, row) -> SpanSummary:
@@ -266,12 +268,11 @@ def ordinary_lines(P: PointSet) -> list[CanonLine2 | CanonLine3]:
     """The spanned lines containing exactly two points of P, canonically sorted."""
     if len(P) < 2:
         raise UsageError("ordinary_lines needs at least 2 points")
-    out = [key for key, g in _line_groups(P).items() if len(g) == 2]
+    out = [key for key, pairs in _pair_counts(P).items() if pairs == 1]
     if P.field_name != "Q":  # the Qw path's keys are lines already
         return sorted(out, key=lambda line: line.sort_key())
     # Rational keys are bare integer tuples, which sort as their lines' sort_key does.
-    as_line = CanonLine3 if P.kind is Kind.AFFINE3 else CanonLine2
-    return [as_line(key) for key in sorted(out)]
+    return list(map(CanonLine3 if P.kind is Kind.AFFINE3 else CanonLine2, sorted(out)))
 
 
 def max_collinear(P: PointSet) -> int:
@@ -458,17 +459,21 @@ def _plane_groups(P: PointSet, min_points: int = 3) -> dict[tuple[int, ...], tup
             f = w // g
             key = (f * n0, f * n1, f * n2, d // g)
             if key not in groups:
-                groups[key] = (i, *sorted(j for c in bundle[1:] for j in members[c]))
+                on_plane = members[bundle[1]] + members[bundle[2]]
+                for c in bundle[3:]:
+                    on_plane += members[c]
+                on_plane.sort()
+                groups[key] = (i, *on_plane)
     return groups
 
 
 def plane_summary(P: PointSet) -> PlaneSummary:
     """Classify every spanned plane of a 3D set by the points of P it contains."""
-    points = {CanonPlane(k): members for k, members in sorted(_plane_groups(P).items())}
-    counts = {plane: len(members) for plane, members in points.items()}
-    return PlaneSummary(
-        plane_counts=counts, max_coplanar=max(counts.values()), plane_points=points
-    )
+    groups = _plane_groups(P)
+    keys = sorted(groups)  # bare integer tuples sort as their planes' sort_key does
+    planes, members = list(map(CanonPlane, keys)), list(map(groups.__getitem__, keys))
+    counts = dict(zip(planes, map(len, members)))
+    return PlaneSummary(counts, max(counts.values()), dict(zip(planes, members)))
 
 
 def project_from(P: PointSet, center_index: int) -> ProjectionImage:
@@ -517,7 +522,7 @@ def kelly_trace(P: PointSet, center_index: int) -> KellyTraceReport:
 
     homs = P.homs
     found: set[CanonLine3] = set()
-    for g in _line_groups(q1).values():
+    for g in _group_lines(*_pair_keys(q1, lines=True)).values():
         if any(flags[k] for k in g):
             continue
         report.l1_size += 1

@@ -154,6 +154,21 @@ def test_almost_coplanar_rejects_heavy_plane():
         verify_almost_coplanar(P, -1)
 
 
+def test_almost_coplanar_rejects_k_above_n_before_the_plane_check():
+    P = gen_two_skew(10)
+    with pytest.raises(UsageError, match=r"^k must be at most n = 20$"):
+        verify_almost_coplanar(P, 21)
+    with pytest.raises(UsageError, match=r"^k must be at most n = 20$"):
+        verify_almost_coplanar(P, 100)
+    # The offender is the first heaviest plane in plane_summary order.
+    for k in (10, 20):
+        with pytest.raises(UsageError) as err:
+            verify_almost_coplanar(P, k)
+        assert str(err.value) == (
+            f"plane (0, 1, -10, 0) contains 11 points, more than n - k = {20 - k}"
+        )
+
+
 def test_almost_coplanar_usage_errors_name_plane_summary():
     """The cap check keeps the messages of the plane listing it replaced."""
     with pytest.raises(UsageError, match="^plane_summary needs a 3D affine set$"):

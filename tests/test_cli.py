@@ -157,7 +157,12 @@ def test_verify_almost_coplanar(runner, tmp_path):
     assert "holds: True" in result.output
 
     result = runner.invoke(main, ["verify", "almost-coplanar", str(path), "--k", "10"])
-    assert result.exit_code != 0
+    assert result.exit_code == 1
+    assert result.output == "Error: plane (0, 1, -10, 0) contains 11 points, more than n - k = 10\n"
+
+    result = runner.invoke(main, ["verify", "almost-coplanar", str(path), "--k", "100"])
+    assert result.exit_code == 1
+    assert result.output == "Error: k must be at most n = 20\n"
 
 
 def test_verify_concurrent(runner, tmp_path):

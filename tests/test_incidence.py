@@ -40,7 +40,7 @@ from ordlines import (
     write_pointset,
 )
 from ordlines.geometry import Kind, int_hom, plane_key
-from ordlines.incidence import _breaks_cap, _line_groups, _plane_groups
+from ordlines.incidence import _breaks_cap, _group_lines, _pair_keys, _plane_groups
 from conftest import (
     big_rational,
     big_vec,
@@ -396,7 +396,7 @@ def _assert_line_kernel_matches_naive(P):
     assert s.t == naive_span(P)
     assert (s.num_lines, s.max_collinear) == (len(naive), max(map(len, naive)))
     assert point_degrees(P) == [sum(i in members for members in naive) for i in range(len(P))]
-    groups = _line_groups(P)
+    groups = _group_lines(*_pair_keys(P, lines=True))
     assert {frozenset(members) for members in groups.values()} == naive
     for key, members in groups.items():
         assert list(members) == sorted(members)
