@@ -471,9 +471,10 @@ def plane_summary(P: PointSet) -> PlaneSummary:
     """Classify every spanned plane of a 3D set by the points of P it contains."""
     groups = _plane_groups(P)
     keys = sorted(groups)  # bare integer tuples sort as their planes' sort_key does
-    planes, members = list(map(CanonPlane, keys)), list(map(groups.__getitem__, keys))
-    counts = dict(zip(planes, map(len, members)))
-    return PlaneSummary(counts, max(counts.values()), dict(zip(planes, members)))
+    points = dict(zip(map(CanonPlane, keys), map(groups.__getitem__, keys)))
+    del groups, keys  # freed before the second dict is built, which lowers the peak
+    counts = dict(zip(points, map(len, points.values())))
+    return PlaneSummary(counts, max(counts.values()), points)
 
 
 def project_from(P: PointSet, center_index: int) -> ProjectionImage:
