@@ -446,7 +446,6 @@ def test_ordinary_lines_qw_match_naive_on_hesse_minus_points(removed):
     assert lines == sorted(lines, key=lambda line: line.sort_key())
     ordinary = [sorted(m) for m in naive_line_sets(P) if len(m) == 2]
     assert set(lines) == {canon_line(P[a], P[b]) for a, b in ordinary}
-    assert ordinary_lines(H) == []
 
 
 # --- projection ----------------------------------------------------------
