@@ -367,3 +367,35 @@ def test_golden_no_start_under_the_cap():
     config = SearchConfig(n=10, alpha=Fraction(3, 10), iterations=300, seed=7, coordinate_bound=2)
     with pytest.raises(GenerationError, match="after 100 tries"):
         minimize_ordinary(config)
+
+
+def test_golden_large_coordinates_run():
+    """Snaps at a coordinate bound of 10^6 compound: the best set's integer
+    coordinates reach 1,836 bits."""
+    result = minimize_ordinary(
+        SearchConfig(
+            n=12, alpha=Fraction(1, 2), iterations=1000, seed=5, coordinate_bound=10**6
+        )
+    )
+    assert result.best_count == 45
+    assert result.trace == [
+        (0, 66), (4, 63), (10, 60), (24, 57), (175, 54), (176, 51), (437, 48), (474, 45),
+    ]
+    assert result.accepted_moves == 379
+    assert _sha256_of(result.best) == (
+        "1607a1db2957869d3b58d286a54b394f8d36254d29fc90f094627aa2d888c40a"
+    )
+    assert result.plane_profile == [(6, 6)] * 2 + [(5, 4)] * 5 + [(4, 3)] * 25
+
+
+def test_golden_run_past_the_temperature_fixed_point():
+    """The temperature schedule reaches its fixed point 1/2^20 at iteration
+    14,549 and stays there."""
+    result = minimize_ordinary(SearchConfig(n=8, alpha=Fraction(1, 2), iterations=15_000, seed=3))
+    assert result.best_count == 22
+    assert result.trace == [(0, 28), (12, 25), (72, 22)]
+    assert result.accepted_moves == 3399
+    assert _sha256_of(result.best) == (
+        "0d58e0bfcf4282b2b3aee3782db7e584269f6f4cd1c84ce73ef3afe75b331ff0"
+    )
+    assert result.plane_profile == [(4, 3)] * 10
