@@ -2,13 +2,22 @@
 
 The chase is for configurations with few ordinary lines under a coplanarity
 cap: no plane may carry more than floor(alpha * n) points. The engine is
-entirely float-free. Acceptance probabilities come from a fixed rational
-piecewise-linear table of exp(-x), the temperature is a rational with a
-bounded denominator, and random draws are integers, so a seed fully
-determines the run on every platform. The move mix is fixed at 5:2:2:1:
-redraw one coordinate, snap to the line through two other points, snap to
-the plane through three, or restart the point; the temperature after t
-iterations is 2 * (999/1000)^t.
+entirely float-free, and its loop runs on integers alone. Acceptance
+probabilities come from a fixed piecewise-linear table of exp(-x) in
+millionths, the temperature is a pair of integers tn / td, and a uniform
+draw r / 2^32 is compared with the table by cross-multiplication, so a seed
+fully determines the run on every platform. The move mix is fixed at
+5:2:2:1: redraw one coordinate, snap to the line through two other points,
+snap to the plane through three, or restart the point. The temperature
+starts at 2 and each iteration multiplies it by 999/1000 and limits its
+denominator to 2^20 (as ``Fraction.limit_denominator`` does); it reaches
+1/2^20 at iteration 14,549 and stays there.
+
+Points are held as their integer homogeneous coordinates (``int_hom``: a
+primitive 4-tuple with a positive weight). A proposal forms the new tuple
+from the drawn numerators and denominators and reduces it with one gcd, so
+the occupied set is keyed by these canonical tuples, and ``Point``s are
+built only for the best set.
 
 Proposals are scored incrementally. The state keeps the canonical line key
 of every point pair and how many pairs map to each key; a line with k points
@@ -33,55 +42,61 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from math import floor, gcd
 
 from .analysis import plane_ordinary_profile
 from .constructions import _rand_fraction as _rand_q
 from .errors import DegenerateInputError, GenerationError, InvariantViolationError, UsageError
-from .geometry import Kind, Point, affine3, int_hom, plucker_row
+from .geometry import Kind, Point, affine3, plucker_row
 from .incidence import PointSet, _breaks_cap, _some_plane_holds, span_summary
 
 __all__ = ["SearchConfig", "SearchResult", "minimize_ordinary"]
 
 _MOVES = ("perturb",) * 5 + ("snap_to_line",) * 2 + ("snap_to_plane",) * 2 + ("restart_point",)
-_TEMP_INITIAL = Fraction(2)
-_TEMP_DECAY = Fraction(999, 1000)
 
-# exp(-k/2) for k = 0..16, rounded to 6 decimals; zero beyond x = 8.
-_EXP_NODES = (
-    Fraction(1),
-    Fraction(606531, 1000000),
-    Fraction(367879, 1000000),
-    Fraction(223130, 1000000),
-    Fraction(135335, 1000000),
-    Fraction(82085, 1000000),
-    Fraction(49787, 1000000),
-    Fraction(30197, 1000000),
-    Fraction(18316, 1000000),
-    Fraction(11109, 1000000),
-    Fraction(6738, 1000000),
-    Fraction(4087, 1000000),
-    Fraction(2479, 1000000),
-    Fraction(1503, 1000000),
-    Fraction(912, 1000000),
-    Fraction(553, 1000000),
-    Fraction(335, 1000000),
+# exp(-k/2) for k = 0..16 in millionths, rounded; zero beyond x = 8.
+_EXP_MILLIONTHS = (
+    1000000, 606531, 367879, 223130, 135335, 82085, 49787, 30197, 18316,
+    11109, 6738, 4087, 2479, 1503, 912, 553, 335,
 )
 
 _TEMP_DEN_LIMIT = 1 << 20
 _DRAW_DEN = 1 << 32
 
 
-def _exp_neg(x: Fraction) -> Fraction:
-    """Piecewise-linear rational surrogate for exp(-x), monotone on [0, 8]."""
-    if x <= 0:
-        return Fraction(1)
-    if x >= 8:
-        return Fraction(0)
-    k = floor(2 * x)
-    frac = 2 * x - k
-    lo, hi = _EXP_NODES[k], _EXP_NODES[k + 1]
-    return lo + frac * (hi - lo)
+def _limit_denominator(n: int, d: int, limit: int) -> tuple[int, int]:
+    """``Fraction(n, d).limit_denominator(limit)`` for d > 0, as a reduced pair
+    (the CPython algorithm: the closer of the two best approximations, the
+    smaller denominator on a tie)."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    if d <= limit:
+        return n, d
+    den = d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > limit:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (limit - q0) // q1
+    if 2 * d * (q0 + k * q1) <= den:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
+
+
+def _accepts(delta: int, tn: int, td: int, r: int) -> bool:
+    """Whether r / 2^32 < exp_neg(delta * td / tn) for delta >= 0, where exp_neg
+    interpolates ``_EXP_MILLIONTHS`` linearly at the nodes x = k/2 and is 0 from
+    x = 8 on. Decided by cross-multiplication, with 2x = num / tn."""
+    num = 2 * delta * td
+    if num >= 16 * tn:
+        return False
+    k = num // tn
+    lo, hi = _EXP_MILLIONTHS[k], _EXP_MILLIONTHS[k + 1]
+    return r * tn * 1000000 < _DRAW_DEN * (lo * tn + (num - k * tn) * (hi - lo))
 
 
 @dataclass(frozen=True)
@@ -207,29 +222,53 @@ def _random_start(config: SearchConfig, rng: random.Random) -> PointSet:
     raise GenerationError("no random start satisfied the coplanarity cap after 100 tries")
 
 
-def _propose(points: list[Point], rng: random.Random, move: str, bound: int) -> tuple[int, Point]:
-    n = len(points)
+def _primitive_hom(h) -> tuple[int, ...]:
+    """The primitive form of an integer homogeneous 4-tuple with a positive
+    weight, which is ``int_hom`` of the point it names."""
+    g = gcd(*h)
+    return tuple(h) if g == 1 else tuple([c // g for c in h])
+
+
+def _hom_point(h: tuple[int, ...]) -> Point:
+    return affine3(*(Fraction(c, h[3]) for c in h[:3]))
+
+
+def _propose(homs: list[tuple[int, ...]], rng: random.Random, move: str, bound: int):
+    """Pick a point and a new place for it by ``move``: its index and the new
+    place's ``int_hom``. Each rational drawn is randint(-bound, bound) over
+    randint(1, bound), in the order ``_rand_q`` draws it, and the new
+    coordinates are formed over the product of the drawn denominators."""
+    n = len(homs)
     i = rng.randrange(n)
+    randint = rng.randint
     if move == "perturb":
         axis = rng.randrange(3)
-        cs = list(points[i].coords)
-        cs[axis] = _rand_q(rng, bound)
-        return i, affine3(*cs)
+        a, d = randint(-bound, bound), randint(1, bound)
+        h = [c * d for c in homs[i]]
+        h[axis] = a * homs[i][3]
+        return i, _primitive_hom(h)
     if move == "restart_point":
-        return i, affine3(_rand_q(rng, bound), _rand_q(rng, bound), _rand_q(rng, bound))
-    others = list(range(n))
-    others.remove(i)
+        a, d = randint(-bound, bound), randint(1, bound)
+        b, e = randint(-bound, bound), randint(1, bound)
+        c, f = randint(-bound, bound), randint(1, bound)
+        return i, _primitive_hom((a * e * f, b * d * f, c * d * e, d * e * f))
+    # The others are range(n) without i, sampled by position.
     if move == "snap_to_line":
-        j, k = rng.sample(others, 2)
-        t = _rand_q(rng, bound)
-        pj, pk = points[j].coords, points[k].coords
-        return i, affine3(*(a + t * (b - a) for a, b in zip(pj, pk)))
-    j, k, m = rng.sample(others, 3)
-    pj, pk, pm = points[j].coords, points[k].coords, points[m].coords
-    u = tuple(b - a for a, b in zip(pj, pk))
-    v = tuple(b - a for a, b in zip(pj, pm))
-    s, t = _rand_q(rng, bound), _rand_q(rng, bound)
-    return i, affine3(*(a + s * du + t * dv for a, du, dv in zip(pj, u, v)))
+        j, k = (x + (x >= i) for x in rng.sample(range(n - 1), 2))
+        a, d = randint(-bound, bound), randint(1, bound)
+        hj, hk = homs[j], homs[k]
+        # pj + (a/d)(pk - pj), with weight d * wj * wk
+        cj, ck = (d - a) * hk[3], a * hj[3]
+        return i, _primitive_hom([cj * x + ck * y for x, y in zip(hj, hk)])
+    j, k, m = (x + (x >= i) for x in rng.sample(range(n - 1), 3))
+    a, d = randint(-bound, bound), randint(1, bound)
+    b, e = randint(-bound, bound), randint(1, bound)
+    hj, hk, hm = homs[j], homs[k], homs[m]
+    wj, wk, wm = hj[3], hk[3], hm[3]
+    # pj + (a/d)(pk - pj) + (b/e)(pm - pj), with weight d * e * wj * wk * wm
+    cj = (d * e - a * e - b * d) * wk * wm
+    ck, cm = a * e * wj * wm, b * d * wj * wk
+    return i, _primitive_hom([cj * x + ck * y + cm * z for x, y, z in zip(hj, hk, hm)])
 
 
 def minimize_ordinary(config: SearchConfig) -> SearchResult:
@@ -256,52 +295,48 @@ def minimize_ordinary(config: SearchConfig) -> SearchResult:
     else:
         start = _random_start(config, rng)
 
-    points, homs = list(start.points), list(start.homs)
-    occupied = set(points)
+    homs = list(start.homs)
+    occupied = set(homs)
     lines = _LineCounts(homs)
     current = lines.ordinary
 
-    best_points = list(points)
+    best_homs = list(homs)
     best_count = current
     trace = [(0, current)]
     accepted = 0
 
-    temp = _TEMP_INITIAL
+    tn, td = 2, 1  # the temperature tn / td
     for it in range(1, config.iterations + 1):
         move = _MOVES[rng.randrange(len(_MOVES))]
-        i, new_point = _propose(points, rng, move, config.coordinate_bound)
-        temp = (temp * _TEMP_DECAY).limit_denominator(_TEMP_DEN_LIMIT)
-        if temp <= 0:
-            temp = Fraction(1, _TEMP_DEN_LIMIT)
-        if new_point in occupied:
+        i, new_hom = _propose(homs, rng, move, config.coordinate_bound)
+        tn, td = _limit_denominator(tn * 999, td * 1000, _TEMP_DEN_LIMIT)
+        if new_hom in occupied:
             continue
-        old_point, old_hom = points[i], homs[i]
-        new_hom = int_hom(new_point)
-        points[i], homs[i] = new_point, new_hom
+        old_hom = homs[i]
+        homs[i] = new_hom
         new_keys = plucker_row(new_hom, homs[:i] + homs[i + 1 :])
         new_keys.insert(i, None)
         old_keys = lines.replace(i, new_keys)
         candidate = lines.ordinary
         ok = lines.num_lines > 1
         if ok and candidate >= current:
-            p = _exp_neg(Fraction(candidate - current) / temp)
-            ok = Fraction(rng.randrange(_DRAW_DEN), _DRAW_DEN) < p
+            ok = _accepts(candidate - current, tn, td, rng.randrange(_DRAW_DEN))
         if ok:
             ok = not _some_plane_holds(*lines.classes(i), config.cap)
         if not ok:
-            points[i], homs[i] = old_point, old_hom
+            homs[i] = old_hom
             lines.replace(i, old_keys)
             continue
-        occupied.discard(old_point)
-        occupied.add(new_point)
+        occupied.discard(old_hom)
+        occupied.add(new_hom)
         current = candidate
         accepted += 1
         if current < best_count:
             best_count = current
-            best_points = list(points)
+            best_homs = list(homs)
             trace.append((it, current))
 
-    best = PointSet(best_points, label=f"search-n{config.n}-seed{config.seed}")
+    best = PointSet(map(_hom_point, best_homs), label=f"search-n{config.n}-seed{config.seed}")
     recount = span_summary(best).ordinary
     if recount != best_count:
         raise InvariantViolationError(f"recount {recount} disagrees with best_count {best_count}")

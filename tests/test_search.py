@@ -33,7 +33,18 @@ from ordlines.incidence import (
     _heaviest_of_classes,
     _some_plane_holds,
 )
-from ordlines.search import _exp_neg, _LineCounts, _propose
+from ordlines.constructions import _rand_fraction
+from ordlines.search import (
+    _DRAW_DEN,
+    _EXP_MILLIONTHS,
+    _MOVES,
+    _TEMP_DEN_LIMIT,
+    _accepts,
+    _hom_point,
+    _limit_denominator,
+    _LineCounts,
+    _propose,
+)
 from conftest import big_vec, naive_plane_sets, small_int
 
 
@@ -119,6 +130,123 @@ def test_seeded_start_improves_or_holds():
     assert result.trace[0] == (0, 16)
 
 
+# --- the integer loop against Fraction oracles ----------------------------
+
+
+def _exp_neg(x: Fraction) -> Fraction:
+    """Oracle: the piecewise-linear surrogate for exp(-x) over the table's nodes."""
+    if x <= 0:
+        return Fraction(1)
+    if x >= 8:
+        return Fraction(0)
+    k = math.floor(2 * x)
+    lo, hi = (Fraction(e, 10**6) for e in _EXP_MILLIONTHS[k : k + 2])
+    return lo + (2 * x - k) * (hi - lo)
+
+
+def _propose_fraction(points, rng, move, bound):
+    """Oracle: the same proposal formed in Fraction coordinates."""
+    n = len(points)
+    i = rng.randrange(n)
+    if move == "perturb":
+        axis = rng.randrange(3)
+        cs = list(points[i].coords)
+        cs[axis] = _rand_fraction(rng, bound)
+        return i, affine3(*cs)
+    if move == "restart_point":
+        return i, affine3(*(_rand_fraction(rng, bound) for _ in range(3)))
+    others = list(range(n))
+    others.remove(i)
+    if move == "snap_to_line":
+        j, k = rng.sample(others, 2)
+        t = _rand_fraction(rng, bound)
+        pj, pk = points[j].coords, points[k].coords
+        return i, affine3(*(a + t * (b - a) for a, b in zip(pj, pk)))
+    j, k, m = rng.sample(others, 3)
+    pj, pk, pm = points[j].coords, points[k].coords, points[m].coords
+    u = tuple(b - a for a, b in zip(pj, pk))
+    v = tuple(b - a for a, b in zip(pj, pm))
+    s, t = _rand_fraction(rng, bound), _rand_fraction(rng, bound)
+    return i, affine3(*(a + s * du + t * dv for a, du, dv in zip(pj, u, v)))
+
+
+def _schedule(steps: int):
+    """The Fraction temperatures after 1..steps iterations."""
+    temp = Fraction(2)
+    for _ in range(steps):
+        temp = (temp * Fraction(999, 1000)).limit_denominator(_TEMP_DEN_LIMIT)
+        yield temp
+
+
+def test_temperature_step_matches_fraction_schedule():
+    """Past the fixed point 1/2^20, reached at iteration 14,549, and never 0."""
+    tn, td = 2, 1
+    for it, temp in enumerate(_schedule(20_000), 1):
+        tn, td = _limit_denominator(tn * 999, td * 1000, _TEMP_DEN_LIMIT)
+        assert (tn, td) == (temp.numerator, temp.denominator), it
+    assert (tn, td) == (1, _TEMP_DEN_LIMIT)
+
+
+def test_limit_denominator_matches_fraction():
+    rng = random.Random(11)
+    cases = [(3, 2, 1), (5, 2, 1), (-3, 2, 1), (1, 3, 1), (7, 1, 1), (0, 5, 2), (10, 4, 2)]
+    for _ in range(2000):
+        limit = rng.choice([1, 2, 3, 7, 100, 2**20])
+        cases.append((rng.randint(-(10**9), 10**9), rng.randint(1, 10**9), limit))
+    # a value midway between its two best approximations with denominator <= 4
+    cases.append((7, 24, 4))
+    for n, d, limit in cases:
+        q = Fraction(n, d).limit_denominator(limit)
+        assert _limit_denominator(n, d, limit) == (q.numerator, q.denominator), (n, d, limit)
+
+
+def _accepts_fraction(delta: int, temp: Fraction, r: int) -> bool:
+    return Fraction(r, _DRAW_DEN) < _exp_neg(Fraction(delta) / temp)
+
+
+def test_acceptance_matches_fraction_decision():
+    rng = random.Random(5)
+    temps = list(_schedule(15_000))[::97] + [Fraction(2), Fraction(1, 3), Fraction(5, 7)]
+    cases = []
+    for temp in temps:
+        for delta in (0, 1, 2, 3, 5, 8, 17, 40):
+            for r in (0, _DRAW_DEN - 1, rng.randrange(_DRAW_DEN), rng.randrange(_DRAW_DEN)):
+                cases.append((delta, temp, r))
+    # 2x on every node, x = 8 and past it
+    for delta in range(0, 10):
+        for r in (0, 1, 2**31, _DRAW_DEN - 1):
+            cases.append((delta, Fraction(1), r))
+            cases.append((delta, Fraction(2), r))
+    # exp_neg(x) = 1/2 exactly between the nodes 1/2 and 1, so r = 2^31 is on the threshold
+    half = Fraction(477304, 345183)
+    assert _exp_neg(1 / half) == Fraction(1, 2)
+    cases += [(1, half, 2**31 - 1), (1, half, 2**31), (1, half, 2**31 + 1)]
+    for delta, temp, r in cases:
+        got = _accepts(delta, temp.numerator, temp.denominator, r)
+        assert got == _accepts_fraction(delta, temp, r), (delta, temp, r)
+    assert _accepts(1, 477304, 345183, 2**31 - 1) and not _accepts(1, 477304, 345183, 2**31)
+    assert not _accepts(8, 1, 1, 0) and _accepts(0, 1, _TEMP_DEN_LIMIT, _DRAW_DEN - 1)
+
+
+def test_integer_proposals_match_fraction_oracle():
+    """Every move kind on random sets, small and large coordinates: the same
+    index, the int_hom of the oracle's point, and the same RNG state after."""
+    for seed, move, n, bound in product(
+        range(8), sorted(set(_MOVES)), (4, 9, 23), (1, 30, 10**6)
+    ):
+        points = list(gen_random(n, 3, 10**4 if seed % 2 else 5, seed=seed))
+        homs = [int_hom(p) for p in points]
+        rng_int, rng_frac = random.Random(seed * 7 + n), random.Random(seed * 7 + n)
+        for _ in range(3):
+            i, hom = _propose(homs, rng_int, move, bound)
+            j, point = _propose_fraction(points, rng_frac, move, bound)
+            assert (i, hom) == (j, int_hom(point)), (seed, move, n, bound)
+            assert _hom_point(hom) == point
+            assert rng_int.getstate() == rng_frac.getstate()
+            if hom not in homs:
+                points[i], homs[i] = point, hom
+
+
 def _within_bound(c: Fraction, bound: int) -> bool:
     return abs(c.numerator) <= bound and c.denominator <= bound
 
@@ -129,7 +257,8 @@ def test_propose_each_move_kind():
     moves = ("perturb", "snap_to_line", "snap_to_plane", "restart_point")
     for seed, move in product(range(6), moves):
         points = list(gen_random(8, 3, 1000, seed=seed))
-        i, new = _propose(points, random.Random(seed), move, 30)
+        i, hom = _propose([int_hom(p) for p in points], random.Random(seed), move, 30)
+        new = _hom_point(hom)
         assert 0 <= i < len(points) and new.kind is points[i].kind
         others = points[:i] + points[i + 1 :]
         if move == "perturb":
