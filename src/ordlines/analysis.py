@@ -30,6 +30,7 @@ from .incidence import (
     PointSet,
     _breaks_cap,
     _line_histogram,
+    _pair_counts,
     _plane_groups,
     ordinary_lines,
     plane_summary,
@@ -152,13 +153,16 @@ def verify_sylvester_gallai(P: PointSet) -> SylvesterGallaiReport:
         raise UsageError("verify_sylvester_gallai needs a planar set")
     if len(P) < 3:
         raise UsageError("verify_sylvester_gallai needs at least 3 points")
-    summary = span_summary(P)
-    if summary.max_collinear == len(P):
+    pairs = _pair_counts(P)
+    if len(pairs) == 1:  # one line holds every point
         return SylvesterGallaiReport(holds=True, witness=None)
-    witnesses = ordinary_lines(P)
-    if witnesses:
-        return SylvesterGallaiReport(holds=True, witness=witnesses[0])
-    return SylvesterGallaiReport(holds=False, witness=None)
+    ordinary = [key for key, count in pairs.items() if count == 1]
+    if not ordinary:
+        return SylvesterGallaiReport(holds=False, witness=None)
+    # The witness is the first line of ``ordinary_lines``: the least key.
+    if P.field_name != "Q":  # the Qw path's keys are lines already
+        return SylvesterGallaiReport(holds=True, witness=min(ordinary, key=CanonLine2.sort_key))
+    return SylvesterGallaiReport(holds=True, witness=CanonLine2(min(ordinary)))
 
 
 @dataclass

@@ -37,6 +37,7 @@ from ordlines import (
     project_from,
     projective2,
     span_summary,
+    verify_sylvester_gallai,
     write_pointset,
 )
 from ordlines.geometry import Kind, int_hom, plane_key
@@ -695,6 +696,22 @@ def test_golden_ordinary_lines_2d(make, count, digest):
     lines = ordinary_lines(make())
     assert len(lines) == count
     assert _sha256_of([line.vector for line in lines]) == digest
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gen_grid2d(12, 12),
+        lambda: gen_random(40, 2, 50, seed=4),
+        _projective_box,
+        lambda: PointSet(gen_hesse().points[1:]),
+    ],
+    ids=["grid12", "random40", "projective-box", "hesse-minus-one"],
+)
+def test_sylvester_gallai_witness_is_the_first_ordinary_line(make):
+    P = make()
+    report = verify_sylvester_gallai(P)
+    assert report.holds and report.witness == ordinary_lines(P)[0]
 
 
 def test_golden_two_skew_ordinary_lines():
