@@ -1,6 +1,8 @@
 """End-to-end runs of every CLI command through click's test runner."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -323,3 +325,121 @@ def test_cli_fuzz_never_raises(runner, tmp_path, command, file_name):
     )
     if result.exit_code == 1:
         assert "Error:" in _everything(result)
+    assert _pin_digest(result, tmp_path) == _PINS[f"fuzz/{command}/{file_name}"]
+
+
+# --- pinned output --------------------------------------------------------
+# sha256 of (exit code, stdout, stderr) per invocation, with the test's own
+# directory written as <tmp>. The table (cli_pins.json) was recorded before the
+# CLI's error handling moved into the group, so a change to any message, stream
+# or exit status of these commands shows up here.
+
+_PINS = json.loads((Path(__file__).parent / "cli_pins.json").read_text(encoding="utf-8"))
+
+_ERROR_CASES = {
+    "gen-conflict": ["gen", "skew", "-c", "grid", "--m", "3", "-o", "{out}"],
+    "gen-unknown": ["gen", "mystery", "-o", "{out}"],
+    "gen-none": ["gen", "-o", "{out}"],
+    "gen-skew-no-m": ["gen", "skew", "-o", "{out}"],
+    "gen-skew-small": ["gen", "skew", "--m", "1", "-o", "{out}"],
+    "gen-near-no-k": ["gen", "near-coplanar", "--n", "10", "-o", "{out}"],
+    "gen-near-tie": ["gen", "near-coplanar", "--n", "7", "--k", "3", "-o", "{out}"],
+    "gen-near-k0": ["gen", "near-coplanar", "--n", "7", "--k", "0", "-o", "{out}"],
+    "gen-heavy-no-alpha": ["gen", "coplanar-heavy", "--n", "10", "-o", "{out}"],
+    "gen-heavy-bad-alpha": ["gen", "coplanar-heavy", "--n", "10", "--alpha", "x", "-o", "{out}"],
+    "gen-heavy-zero-den": ["gen", "coplanar-heavy", "--n", "10", "--alpha", "1/0", "-o", "{out}"],
+    "gen-heavy-small": ["gen", "coplanar-heavy", "--n", "4", "--alpha", "1/2", "-o", "{out}"],
+    "gen-random-no-n": ["gen", "random", "-o", "{out}"],
+    "gen-random-n0": ["gen", "random", "--n", "0", "-o", "{out}"],
+    "gen-random-dim4": ["gen", "random", "--n", "5", "--dim", "4", "-o", "{out}"],
+    "gen-random-bound0": ["gen", "random", "--n", "5", "--bound", "0", "-o", "{out}"],
+    "gen-random-seed": ["gen", "random", "--n", "5", "--seed", "-1", "-o", "{out}"],
+    "gen-grid-no-m": ["gen", "grid", "-o", "{out}"],
+    "gen-grid-small": ["gen", "grid", "--m", "1", "-o", "{out}"],
+    "gen-unwritable": ["gen", "grid", "--m", "3", "-o", "{tmp}/missing/x.txt"],
+    "gen-no-output": ["gen", "grid", "--m", "3"],
+    "gen-bad-int": ["gen", "grid", "--m", "three", "-o", "{out}"],
+    "constants-no-alpha": ["constants", "--beta", "2/3", "--gamma", "1/9"],
+    "constants-bad-alpha": ["constants", "--alpha", "x", "--beta", "2/3", "--gamma", "1/9"],
+    "constants-bad-beta": ["constants", "--alpha", "1/2", "--beta", "1/0", "--gamma", "1/9"],
+    "constants-alpha-range": ["constants", "--alpha", "3/2", "--beta", "2/3", "--gamma", "1/9"],
+    "constants-beta-range": ["constants", "--alpha", "1/2", "--beta", "0", "--gamma", "1/9"],
+    "constants-gamma-range": ["constants", "--grid", "--beta", "2/3", "--gamma", "1"],
+    "constants-no-beta": ["constants", "--alpha", "1/2", "--gamma", "1/9"],
+    "boroczky-odd": ["boroczky", "--m", "7"],
+    "boroczky-small": ["boroczky", "--m", "2"],
+    "boroczky-no-m": ["boroczky"],
+    "search-n3": ["search", "--n", "3", "--alpha", "1", "--iters", "1", "-o", "{out}"],
+    "search-cap": ["search", "--n", "6", "--alpha", "1/3", "--iters", "1", "-o", "{out}"],
+    "search-bad-alpha": ["search", "--n", "6", "--alpha", "a", "--iters", "1", "-o", "{out}"],
+    "search-iters": ["search", "--n", "6", "--alpha", "1", "--iters", "-1", "-o", "{out}"],
+    "search-bound": [
+        "search", "--n", "6", "--alpha", "1", "--iters", "1", "--bound", "0", "-o", "{out}",
+    ],
+    "search-seed": [
+        "search", "--n", "6", "--alpha", "1", "--iters", "1", "--seed", "-1", "-o", "{out}",
+    ],
+    "search-big-seed": [
+        "search", "--n", "6", "--alpha", "1", "--iters", "1", "--seed", str(2**64), "-o", "{out}",
+    ],
+    "search-missing-init": [
+        "search", "--n", "6", "--alpha", "1", "--iters", "1", "--init", "{tmp}/none.txt",
+        "-o", "{out}",
+    ],
+    "search-init-size": [
+        "search", "--n", "6", "--alpha", "1", "--iters", "1", "--init", "{f}", "-o", "{out}",
+    ],
+    "search-init-cap": [
+        "search", "--n", "4", "--alpha", "3/4", "--iters", "1", "--init", "{f}", "-o", "{out}",
+    ],
+    "search-unwritable": [
+        "search", "--n", "6", "--alpha", "1", "--iters", "1", "-o", "{tmp}/missing/b.txt",
+    ],
+    "search-no-iters": ["search", "--n", "6", "--alpha", "1", "-o", "{out}"],
+}
+
+# The --init file of the error cases: four points of the plane z = 0, too few
+# for n = 6 and over the cap 3 at n = 4.
+_PIN_INIT = "dim=3 kind=affine field=Q\n0 0 0\n1 0 0\n0 1 0\n1 1 0\n"
+
+
+def _pin_digest(result, tmp_path) -> str:
+    fields = [result.exit_code, result.stdout, result.stderr]
+    text = json.dumps([f.replace(str(tmp_path), "<tmp>") if isinstance(f, str) else f
+                       for f in fields])
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(_ERROR_CASES))
+def test_error_paths_are_pinned(runner, tmp_path, case):
+    init = tmp_path / "init.txt"
+    init.write_text(_PIN_INIT, encoding="utf-8")
+    args = [
+        a.format(f=str(init), out=str(tmp_path / "out.txt"), tmp=str(tmp_path))
+        for a in _ERROR_CASES[case]
+    ]
+    result = runner.invoke(main, args)
+    assert result.exit_code != 0, _everything(result)
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert _pin_digest(result, tmp_path) == _PINS[f"error/{case}"], _everything(result)
+
+
+_PLANE_SETS = {
+    "coplanar-heavy": ["coplanar-heavy", "--n", "30", "--alpha", "1/2", "--seed", "2"],
+    "near-coplanar": ["near-coplanar", "--n", "14", "--k", "4", "--seed", "1"],
+    "grid-2d": ["grid", "--m", "4"],
+    "collinear-3d": None,  # _FUZZ_FILES["collinear-3d"]
+}
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("name", sorted(_PLANE_SETS))
+def test_stats_planes_is_pinned(runner, tmp_path, name, as_json):
+    if _PLANE_SETS[name] is None:
+        path = tmp_path / "pts.txt"
+        path.write_text(_FUZZ_FILES[name], encoding="utf-8")
+    else:
+        path = _gen(runner, tmp_path, *_PLANE_SETS[name])
+    result = runner.invoke(main, ["stats", "--planes", str(path)] + ["--json"] * as_json)
+    key = f"stats-planes/{name}/{'json' if as_json else 'text'}"
+    assert _pin_digest(result, tmp_path) == _PINS[key], _everything(result)
