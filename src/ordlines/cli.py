@@ -4,7 +4,9 @@ Reports go to stdout, diagnostics to stderr. Exit status is nonzero when a
 command cannot run (bad flags, unreadable file, violated precondition) or when
 a verifier observes the failure of a guarantee that holds unconditionally over
 the rationals. Merely informational misses (asymptotic thresholds at small n)
-exit zero.
+exit zero. Domain errors (``OrdlinesError``) are converted once, where the
+``main`` group invokes a command, so every command, nested ones included, turns
+them into ``Error: ...`` and exit status 1.
 
 JSON output renders every rational as {"exact": "a/b", "approx": float}; the
 approx field is a convenience and never feeds back into any computation.
@@ -12,9 +14,9 @@ approx field is a convenience and never feeds back into any computation.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
+from collections import Counter
 from fractions import Fraction
 
 import click
@@ -40,9 +42,9 @@ from .geometry import CanonLine3, Kind, canon_line, make_point, skew
 from .incidence import (
     PointSet,
     _pair_counts,
+    _plane_groups,
     image_point_set,
     kelly_trace,
-    plane_summary,
     project_from,
     span_summary,
 )
@@ -50,19 +52,6 @@ from .pointset_io import _parse_scalar, read_pointset_file, write_pointset
 from .search import SearchConfig, minimize_ordinary
 
 CONSTRUCTIONS = ("skew", "near-coplanar", "coplanar-heavy", "random", "grid", "hesse")
-
-
-def _friendly(fn):
-    """Turn domain errors into clean diagnostics with exit status 1."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except OrdlinesError as exc:
-            raise click.ClickException(str(exc)) from exc
-
-    return wrapper
 
 
 def _rat(text: str, name: str) -> Fraction:
@@ -97,7 +86,17 @@ def _check_writable(path: str) -> None:
         os.remove(path)
 
 
-@click.group()
+class _Main(click.Group):
+    """Turn domain errors into clean diagnostics with exit status 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except OrdlinesError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Main)
 def main():
     """Exact arithmetic laboratory for ordinary lines and spanned planes."""
 
@@ -113,7 +112,6 @@ def main():
 @click.option("--bound", type=int, default=50, show_default=True, help="coordinate size bound")
 @click.option("--dim", type=int, default=2, show_default=True, help="dimension for random sets")
 @click.option("-o", "--output", type=click.Path(dir_okay=False), required=True)
-@_friendly
 def gen(construction_arg, construction, m, n, k, alpha, seed, bound, dim, output):
     """Generate a named construction and write it as a point-set file."""
     if construction_arg and construction and construction_arg != construction:
@@ -155,7 +153,6 @@ def gen(construction_arg, construction, m, n, k, alpha, seed, bound, dim, output
 @click.argument("file", type=click.Path(dir_okay=False))
 @click.option("--planes", is_flag=True, help="also summarize spanned planes (3D only)")
 @click.option("--json", "as_json", is_flag=True)
-@_friendly
 def stats(file, planes, as_json):
     """Span summary of a point-set file: line histogram and ordinary count."""
     ps = read_pointset_file(file)
@@ -173,14 +170,11 @@ def stats(file, planes, as_json):
         },
     }
     if planes:
-        p = plane_summary(ps)
-        sizes: dict[str, int] = {}
-        for c in p.plane_counts.values():
-            sizes[str(c)] = sizes.get(str(c), 0) + 1
+        sizes = sorted(Counter(map(len, _plane_groups(ps).values())).items())
         payload["planes"] = {
-            "num_planes": len(p.plane_counts),
-            "max_coplanar": p.max_coplanar,
-            "size_histogram": dict(sorted(sizes.items(), key=lambda kv: int(kv[0]))),
+            "num_planes": sum(c for _, c in sizes),
+            "max_coplanar": sizes[-1][0],
+            "size_histogram": {str(k): c for k, c in sizes},
         }
     if as_json:
         click.echo(json.dumps(payload, indent=2))
@@ -206,7 +200,6 @@ def stats(file, planes, as_json):
 @click.option("--center", type=int, required=True, help="index of the projection point")
 @click.option("--trace", is_flag=True, help="hunt ordinary lines avoiding the center")
 @click.option("--json", "as_json", is_flag=True)
-@_friendly
 def project(file, center, trace, as_json):
     """Project a 3D set from one of its points; report the image structure."""
     ps = read_pointset_file(file)
@@ -269,7 +262,6 @@ def _heaviest_skew_pair(ps: PointSet):
 @verify.command("sylvester-gallai")
 @click.argument("file", type=click.Path(dir_okay=False))
 @click.pass_context
-@_friendly
 def verify_sg(ctx, file):
     """A non-collinear planar set must span an ordinary line (rational fields)."""
     ps = read_pointset_file(file)
@@ -290,7 +282,6 @@ def verify_sg(ctx, file):
 @click.option("--line1", default=None, help="two point indices, like 0,1")
 @click.option("--line2", default=None, help="two point indices, like 10,11")
 @click.pass_context
-@_friendly
 def verify_skew(ctx, file, line1, line2):
     """Ordinary count is at least |P on l|*|P on l'| - |P| for skew l, l'."""
     ps = read_pointset_file(file)
@@ -312,7 +303,6 @@ def verify_skew(ctx, file, line1, line2):
 @verify.command("almost-coplanar")
 @click.argument("file", type=click.Path(dir_okay=False))
 @click.option("--k", type=int, required=True, help="points off the heaviest plane")
-@_friendly
 def verify_ac(file, k):
     """Report the ordinary count against the (k+1/2)(n-k) - C(k,2) threshold."""
     ps = read_pointset_file(file)
@@ -325,7 +315,6 @@ def verify_ac(file, k):
 @click.argument("file", type=click.Path(dir_okay=False))
 @click.option("--apex", required=True, help="apex coordinates, comma-separated")
 @click.pass_context
-@_friendly
 def verify_concurrent(ctx, file, apex):
     """Count pencil lines through the apex and ordinary lines avoiding it."""
     ps = read_pointset_file(file)
@@ -359,7 +348,6 @@ def verify_concurrent(ctx, file, apex):
 @click.option("--grid", is_flag=True, help="scan alpha over k/100, k=1..99")
 @click.option("--json", "as_json", is_flag=True)
 @click.pass_context
-@_friendly
 def constants(ctx, alpha, beta, gamma, grid, as_json):
     """Evaluate the ordinary-line bound constants exactly."""
     b, g = _rat(beta, "beta"), _rat(gamma, "gamma")
@@ -423,7 +411,6 @@ def constants(ctx, alpha, beta, gamma, grid, as_json):
 @main.command()
 @click.option("--m", type=int, required=True, help="points on the conic (and on the line)")
 @click.option("--json", "as_json", is_flag=True)
-@_friendly
 def boroczky(m, as_json):
     """Line histogram of the conic-plus-line configuration."""
     s = boroczky_model(m)
@@ -453,7 +440,6 @@ def boroczky(m, as_json):
 @click.option("--init", type=click.Path(dir_okay=False), default=None)
 @click.option("--bound", type=int, default=30, show_default=True)
 @click.option("-o", "--output", type=click.Path(dir_okay=False), required=True)
-@_friendly
 def search(n, alpha, iters, seed, init, bound, output):
     """Anneal toward few ordinary lines under the coplanarity cap."""
     initial = read_pointset_file(init) if init else None

@@ -10,11 +10,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, floor
+from math import comb, floor, gcd
 
 from .errors import GenerationError, InvariantViolationError, UsageError
 from .fields import Eisenstein, W
-from .geometry import affine2, affine3, projective2
+from .geometry import Point, affine2, affine3, projective2
 from .incidence import PointSet, _breaks_cap
 
 __all__ = [
@@ -39,6 +39,24 @@ def _rng(seed: int) -> random.Random:
 
 def _rand_fraction(rng: random.Random, bound: int) -> Fraction:
     return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+
+
+def _random_points(rng: random.Random, n: int, dim: int, bound: int) -> list[Point]:
+    """n distinct affine points of dimension dim (2 or 3) with coordinates drawn
+    by ``_rand_fraction``, sorted. Refused before any draw when fewer than n such
+    points exist. A coordinate takes the values 0 and ±a/b for coprime
+    1 <= a, b <= bound; those include the 2*bound + 1 integers, so the coprime
+    pairs are counted only when n exceeds (2*bound + 1)^dim."""
+    if n > (2 * bound + 1) ** dim:
+        coprime = sum(gcd(a, b) == 1 for a in range(1, bound + 1) for b in range(1, bound + 1))
+        room = (1 + 2 * coprime) ** dim
+        if n > room:
+            raise UsageError(f"bound {bound} allows only {room} distinct {dim}D points, not n = {n}")
+    coords: set[tuple[Fraction, ...]] = set()
+    while len(coords) < n:
+        coords.add(tuple(_rand_fraction(rng, bound) for _ in range(dim)))
+    make = affine2 if dim == 2 else affine3
+    return [make(*c) for c in sorted(coords)]
 
 
 def gen_two_skew(m: int) -> PointSet:
@@ -131,12 +149,7 @@ def gen_random(n: int, dim: int, bound: int = 50, seed: int = 0) -> PointSet:
         raise UsageError("gen_random supports dim 2 or 3")
     if bound < 1:
         raise UsageError("gen_random needs bound >= 1")
-    rng = _rng(seed)
-    coords: set[tuple[Fraction, ...]] = set()
-    while len(coords) < n:
-        coords.add(tuple(_rand_fraction(rng, bound) for _ in range(dim)))
-    make = affine2 if dim == 2 else affine3
-    pts = [make(*c) for c in sorted(coords)]
+    pts = _random_points(_rng(seed), n, dim, bound)
     return PointSet(pts, label=f"random-{n}-{dim}d-seed{seed}")
 
 

@@ -56,6 +56,7 @@ from .geometry import (
     Kind,
     Point,
     _plucker_incident,
+    _require_same,
     canon_line,
     cross_row,
     direction2_row,
@@ -74,7 +75,6 @@ __all__ = [
     "span_summary",
     "ordinary_lines",
     "plane_summary",
-    "max_collinear",
     "max_coplanar",
     "point_degrees",
     "project_from",
@@ -94,12 +94,7 @@ class PointSet:
         pts = tuple(points)
         if not pts:
             raise UsageError("point set must be nonempty")
-        k0, f0 = pts[0].kind, pts[0].field_name
-        for p in pts[1:]:
-            if p.kind is not k0:
-                raise UsageError(f"mixed point kinds {k0.value} / {p.kind.value}")
-            if p.field_name != f0:
-                raise UsageError(f"mixed coordinate fields {f0} / {p.field_name}")
+        _require_same(pts, tuple(Kind), "point set")
         if len(set(pts)) != len(pts):
             raise UsageError("point set has duplicate points")
         object.__setattr__(self, "points", pts)
@@ -273,10 +268,6 @@ def ordinary_lines(P: PointSet) -> list[CanonLine2 | CanonLine3]:
         return sorted(out, key=lambda line: line.sort_key())
     # Rational keys are bare integer tuples, which sort as their lines' sort_key does.
     return list(map(CanonLine3 if P.kind is Kind.AFFINE3 else CanonLine2, sorted(out)))
-
-
-def max_collinear(P: PointSet) -> int:
-    return span_summary(P).max_collinear
 
 
 def max_coplanar(P: PointSet) -> int:

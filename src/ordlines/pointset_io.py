@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import ParseError, UsageError
 from .fields import Eisenstein, format_eisenstein
-from .geometry import Kind, Point, make_point
+from .geometry import _COORD_COUNT, Kind, Point, make_point
 from .incidence import PointSet
 
 __all__ = ["parse_pointset", "write_pointset", "read_pointset_file"]
@@ -29,8 +29,6 @@ _HEADERS = {
     ("3", "affine"): Kind.AFFINE3,
     ("2", "projective"): Kind.PROJECTIVE2,
 }
-
-_COORDS_PER_KIND = {Kind.AFFINE2: 2, Kind.AFFINE3: 3, Kind.PROJECTIVE2: 3}
 
 
 def _parse_rational(token: str, lineno: int) -> Fraction:
@@ -110,7 +108,7 @@ def parse_pointset(text: str) -> PointSet:
             kind, field = _parse_header(line, lineno)
             continue
         tokens = line.split()
-        want = _COORDS_PER_KIND[kind]
+        want = _COORD_COUNT[kind]
         if len(tokens) != want:
             raise ParseError(
                 f"expected {want} coordinates for {kind.value}, got {len(tokens)}", lineno

@@ -45,7 +45,7 @@ from fractions import Fraction
 from math import floor, gcd
 
 from .analysis import plane_ordinary_profile
-from .constructions import _rand_fraction as _rand_q
+from .constructions import _random_points, _rng
 from .errors import DegenerateInputError, GenerationError, InvariantViolationError, UsageError
 from .geometry import Kind, Point, affine3, plucker_row
 from .incidence import PointSet, _breaks_cap, _some_plane_holds, span_summary
@@ -210,10 +210,7 @@ class _LineCounts:
 
 def _random_start(config: SearchConfig, rng: random.Random) -> PointSet:
     for _ in range(100):
-        coords: set[tuple[Fraction, Fraction, Fraction]] = set()
-        while len(coords) < config.n:
-            coords.add(tuple(_rand_q(rng, config.coordinate_bound) for _ in range(3)))
-        start = PointSet([affine3(*c) for c in sorted(coords)])
+        start = PointSet(_random_points(rng, config.n, 3, config.coordinate_bound))
         try:
             if not _breaks_cap(start, config.cap):
                 return start
@@ -236,7 +233,7 @@ def _hom_point(h: tuple[int, ...]) -> Point:
 def _propose(homs: list[tuple[int, ...]], rng: random.Random, move: str, bound: int):
     """Pick a point and a new place for it by ``move``: its index and the new
     place's ``int_hom``. Each rational drawn is randint(-bound, bound) over
-    randint(1, bound), in the order ``_rand_q`` draws it, and the new
+    randint(1, bound), in the order ``_rand_fraction`` draws it, and the new
     coordinates are formed over the product of the drawn denominators."""
     n = len(homs)
     i = rng.randrange(n)
@@ -278,9 +275,7 @@ def minimize_ordinary(config: SearchConfig) -> SearchResult:
     re-verified from scratch: an independent recount must reproduce
     ``best_count`` and no plane of its profile may exceed the cap.
     """
-    if not isinstance(config.seed, int) or not 0 <= config.seed < 2**64:
-        raise UsageError("seed must be an unsigned 64-bit integer")
-    rng = random.Random(config.seed)
+    rng = _rng(config.seed)
 
     if config.initial is not None:
         if config.initial.kind is not Kind.AFFINE3 or config.initial.field_name != "Q":

@@ -4,10 +4,19 @@ import hashlib
 import json
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
-from ordlines import PointSet, affine3, minimize_ordinary, read_pointset_file, write_pointset
+from ordlines import (
+    InvariantViolationError,
+    PointSet,
+    affine3,
+    gen_two_skew,
+    minimize_ordinary,
+    read_pointset_file,
+    write_pointset,
+)
 from ordlines import cli
 from ordlines.cli import main
 
@@ -283,6 +292,97 @@ def test_search_leaves_no_set_without_its_report(runner, tmp_path, monkeypatch):
     assert result.exit_code == 1, _everything(result)
     assert "Error: cannot write" in _everything(result)
     assert not out.exists()
+
+
+def test_random_draws_past_the_bound_are_refused(runner, tmp_path):
+    out = str(tmp_path / "x.txt")
+    cases = [
+        ["gen", "random", "--n", "10", "--bound", "1", "-o", out],
+        ["search", "--n", "28", "--alpha", "1/2", "--iters", "1", "--bound", "1", "-o", out],
+    ]
+    for args in cases:
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, _everything(result)
+        assert "Error: bound 1 allows only" in result.output
+
+
+# --- the error boundary ---------------------------------------------------
+# One library call per leaf command, patched in ordlines.cli to raise. Every
+# leaf of ``main`` needs an entry (test_every_command_has_a_boundary_case).
+
+_SKEW3 = write_pointset(gen_two_skew(3))
+_GRID2 = "dim=2 kind=affine field=Q\n0 0\n1 0\n0 1\n1 1\n"
+
+_BOUNDARY_CASES = {
+    ("gen",): ("gen_grid2d", ["gen", "grid", "--m", "3", "-o", "{out}"]),
+    ("stats",): ("span_summary", ["stats", "{skew}"]),
+    ("project",): ("project_from", ["project", "{skew}", "--center", "0"]),
+    ("verify", "sylvester-gallai"): (
+        "verify_sylvester_gallai",
+        ["verify", "sylvester-gallai", "{grid}"],
+    ),
+    ("verify", "skew-bound"): (
+        "verify_skew_bound",
+        ["verify", "skew-bound", "{skew}", "--line1", "0,1", "--line2", "3,4"],
+    ),
+    ("verify", "almost-coplanar"): (
+        "verify_almost_coplanar",
+        ["verify", "almost-coplanar", "{skew}", "--k", "1"],
+    ),
+    ("verify", "concurrent"): (
+        "concurrent_lines_probe",
+        ["verify", "concurrent", "{grid}", "--apex", "0,0"],
+    ),
+    ("constants",): (
+        "bound_constants",
+        ["constants", "--alpha", "1/2", "--beta", "2/3", "--gamma", "1/9"],
+    ),
+    ("boroczky",): ("boroczky_model", ["boroczky", "--m", "6"]),
+    ("search",): (
+        "minimize_ordinary",
+        ["search", "--n", "6", "--alpha", "1", "--iters", "1", "-o", "{out}"],
+    ),
+}
+
+
+def _leaf_commands(group, path=()):
+    for name, command in group.commands.items():
+        if isinstance(command, click.Group):
+            yield from _leaf_commands(command, path + (name,))
+        else:
+            yield path + (name,)
+
+
+def test_every_command_has_a_boundary_case():
+    assert sorted(_leaf_commands(main)) == sorted(_BOUNDARY_CASES)
+
+
+def _invoke_raising(runner, tmp_path, monkeypatch, case, exc):
+    def boom(*args, **kwargs):
+        raise exc
+
+    name, argv = _BOUNDARY_CASES[case]
+    monkeypatch.setattr(cli, name, boom)
+    (tmp_path / "skew.txt").write_text(_SKEW3, encoding="utf-8")
+    (tmp_path / "grid.txt").write_text(_GRID2, encoding="utf-8")
+    paths = {p: str(tmp_path / f"{p}.txt") for p in ("skew", "grid", "out")}
+    return runner.invoke(main, [a.format(**paths) for a in argv])
+
+
+@pytest.mark.parametrize("case", sorted(_BOUNDARY_CASES), ids="-".join)
+def test_domain_errors_exit_1_at_the_group(runner, tmp_path, monkeypatch, case):
+    result = _invoke_raising(runner, tmp_path, monkeypatch, case, InvariantViolationError("boom"))
+    assert result.exit_code == 1, _everything(result)
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.endswith("Error: boom\n")
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("case", sorted(_BOUNDARY_CASES), ids="-".join)
+def test_other_errors_are_not_converted(runner, tmp_path, monkeypatch, case):
+    result = _invoke_raising(runner, tmp_path, monkeypatch, case, RuntimeError("boom"))
+    assert isinstance(result.exception, RuntimeError)
+    assert "Error: boom" not in result.output
 
 
 _FUZZ_FILES = {

@@ -2,6 +2,7 @@
 
 import hashlib
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -18,7 +19,6 @@ from ordlines import (
     gen_near_coplanar,
     gen_random,
     gen_two_skew,
-    max_collinear,
     max_coplanar,
     plane_summary,
     point_degrees,
@@ -37,7 +37,7 @@ def test_two_skew_structure():
     for m in (3, 5, 8):
         P = gen_two_skew(m)
         assert len(P) == 2 * m
-        assert max_collinear(P) == m
+        assert span_summary(P).max_collinear == m
         assert plane_summary(P).max_coplanar == m + 1
 
 
@@ -110,6 +110,17 @@ def test_coplanar_heavy_seeds_differ():
 def test_coplanar_heavy_pre():
     with pytest.raises(UsageError):
         gen_coplanar_heavy(5, Fraction(1, 3))  # floor = 1 < 3
+
+
+def test_gen_random_refuses_more_points_than_the_bound_allows():
+    # A coordinate with bound 1 is -1, 0 or 1; bound 2 adds ±2 and ±1/2.
+    everything = sorted(product((-1, 0, 1), repeat=2))
+    assert sorted(p.coords for p in gen_random(9, 2, 1)) == everything
+    assert len(gen_random(30, 2, 2)) == 30  # past (2*2 + 1)^2, within 7^2
+    assert len(gen_random(49, 2, 2)) == 49
+    for n, dim, bound in ((10, 2, 1), (28, 3, 1), (50, 2, 2), (344, 3, 2)):
+        with pytest.raises(UsageError, match="allows only"):
+            gen_random(n, dim, bound)
 
 
 def test_gen_random_contract():

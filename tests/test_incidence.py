@@ -28,7 +28,6 @@ from ordlines import (
     image_point_set,
     incident,
     kelly_trace,
-    max_collinear,
     max_coplanar,
     ordinary_lines,
     plane_ordinary_profile,
@@ -168,7 +167,7 @@ def test_degrees_sum_equals_incidence_sum():
 
 def test_general_position_degrees():
     P = gen_random(7, 2, seed=12)
-    if max_collinear(P) == 2:
+    if span_summary(P).max_collinear == 2:
         assert point_degrees(P) == [6] * 7
 
 
