@@ -504,9 +504,8 @@ _PIN_INIT = "dim=3 kind=affine field=Q\n0 0 0\n1 0 0\n0 1 0\n1 1 0\n"
 
 
 def _pin_digest(result, tmp_path) -> str:
-    fields = [result.exit_code, result.stdout, result.stderr]
-    text = json.dumps([f.replace(str(tmp_path), "<tmp>") if isinstance(f, str) else f
-                       for f in fields])
+    out, err = (s.replace(str(tmp_path), "<tmp>") for s in (result.stdout, result.stderr))
+    text = json.dumps([result.exit_code, out, err])
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
