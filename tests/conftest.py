@@ -34,6 +34,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+def integer_box(a: int, b: int, c: int) -> tuple[PointSet, int]:
+    """The integer box {1..a} x {1..b} x {1..c}, x slowest, and the index of its
+    centre point ((a + 1) // 2, (b + 1) // 2, (c + 1) // 2)."""
+    pts = [affine3(x, y, z) for x in range(1, a + 1) for y in range(1, b + 1) for z in range(1, c + 1)]
+    centre = affine3((a + 1) // 2, (b + 1) // 2, (c + 1) // 2)
+    return PointSet(pts, label=f"box-{a}x{b}x{c}"), pts.index(centre)
+
+
 def naive_line_sets(P: PointSet) -> set[frozenset[int]]:
     """Index sets of all spanned lines, by direct collinearity tests per pair."""
     n = len(P)

@@ -19,6 +19,7 @@ from ordlines import (
 )
 from ordlines import cli
 from ordlines.cli import main
+from conftest import integer_box
 
 
 @pytest.fixture
@@ -542,3 +543,16 @@ def test_stats_planes_is_pinned(runner, tmp_path, name, as_json):
     result = runner.invoke(main, ["stats", "--planes", str(path)] + ["--json"] * as_json)
     key = f"stats-planes/{name}/{'json' if as_json else 'text'}"
     assert _pin_digest(result, tmp_path) == _PINS[key], _everything(result)
+
+
+_KELLY_PINS = json.loads((Path(__file__).parent / "kelly_pins.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("box", [(5, 3, 3), (7, 7, 1)], ids=["box533", "box771"])
+def test_project_trace_json_is_pinned(runner, tmp_path, box):
+    P, centre = integer_box(*box)
+    path = tmp_path / "box.txt"
+    path.write_text(write_pointset(P), encoding="utf-8")
+    result = runner.invoke(main, ["project", str(path), "--center", str(centre), "--trace", "--json"])
+    key = "box" + "".join(map(str, box))
+    assert _pin_digest(result, tmp_path) == _KELLY_PINS["project-trace-json"][key], _everything(result)

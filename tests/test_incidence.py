@@ -2,9 +2,11 @@
 center-avoiding ordinary-line hunt."""
 
 import hashlib
+import json
 import random
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -44,6 +46,7 @@ from ordlines.incidence import _breaks_cap, _group_lines, _pair_keys, _plane_gro
 from conftest import (
     big_rational,
     big_vec,
+    integer_box,
     naive_kelly_found,
     naive_line_sets,
     naive_plane_counts,
@@ -590,6 +593,37 @@ def test_kelly_trace_matches_naive_oracle_on_a_box(center):
     rep = kelly_trace(P, center)
     assert rep.l1_size == l1_size > 0
     assert set(rep.found_ordinary) == {canon_line(P[i], P[j]) for i, j in map(sorted, found)}
+
+
+# --- golden hunts -------------------------------------------------------------
+#
+# Recorded once and never re-pinned (kelly_pins.json): for every center of each
+# set, (q1_size, q2_size, l1_size) and the sha256 of the sorted Plücker vectors
+# of found_ordinary.
+
+_KELLY_PINS = json.loads((Path(__file__).parent / "kelly_pins.json").read_text(encoding="utf-8"))
+
+_KELLY_SETS = {
+    "box533": lambda: integer_box(5, 3, 3)[0],
+    "box771": lambda: integer_box(7, 7, 1)[0],
+    "two-skew6": lambda: gen_two_skew(6),
+    "saddle5x8": lambda: PointSet([affine3(i, j, i * j) for i in range(5) for j in range(8)]),
+    "near-coplanar20": lambda: gen_near_coplanar(20, 3, 1),
+}
+
+
+def _kelly_pins(P: PointSet) -> dict[str, list]:
+    pins = {}
+    for center in range(len(P)):
+        rep = kelly_trace(P, center)
+        pluckers = sorted(line.plucker for line in rep.found_ordinary)
+        pins[str(center)] = [rep.q1_size, rep.q2_size, rep.l1_size, _sha256_of(pluckers)]
+    return pins
+
+
+@pytest.mark.parametrize("name", sorted(_KELLY_SETS))
+def test_golden_kelly_trace_from_every_center(name):
+    assert _kelly_pins(_KELLY_SETS[name]()) == _KELLY_PINS["trace"][name]
 
 
 # --- golden line counts -----------------------------------------------------
