@@ -31,6 +31,7 @@ from .incidence import (
     _breaks_cap,
     _line_histogram,
     _pair_counts,
+    _pair_keys,
     _plane_groups,
     ordinary_lines,
     plane_summary,
@@ -153,7 +154,7 @@ def verify_sylvester_gallai(P: PointSet) -> SylvesterGallaiReport:
         raise UsageError("verify_sylvester_gallai needs a planar set")
     if len(P) < 3:
         raise UsageError("verify_sylvester_gallai needs at least 3 points")
-    pairs = _pair_counts(P)
+    pairs = _pair_counts(*_pair_keys(P, lines=True))
     if len(pairs) == 1:  # one line holds every point
         return SylvesterGallaiReport(holds=True, witness=None)
     ordinary = [key for key, count in pairs.items() if count == 1]

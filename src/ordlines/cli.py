@@ -42,8 +42,8 @@ from .geometry import CanonLine3, Kind, canon_line, make_point, skew
 from .incidence import (
     PointSet,
     _pair_counts,
+    _pair_keys,
     _plane_groups,
-    image_point_set,
     kelly_trace,
     project_from,
     span_summary,
@@ -204,13 +204,13 @@ def project(file, center, trace, as_json):
     """Project a 3D set from one of its points; report the image structure."""
     ps = read_pointset_file(file)
     img = project_from(ps, center)
-    q1, flags = image_point_set(img)
+    sizes = sorted((len(idxs) for _, idxs in img.groups), reverse=True)
     payload = {
         "center": center,
         "n": len(ps),
-        "q1_size": len(q1),
-        "q2_size": sum(flags),
-        "group_sizes": sorted((len(idxs) for _, idxs in img.groups), reverse=True),
+        "q1_size": len(sizes),
+        "q2_size": sizes.count(1),
+        "group_sizes": sizes,
     }
     report = None
     if trace:
@@ -250,7 +250,7 @@ def _parse_indices(text: str, n: int, name: str) -> tuple[int, int]:
 def _heaviest_skew_pair(ps: PointSet):
     if ps.kind is not Kind.AFFINE3:
         raise UsageError("skew lines need a 3D affine set")
-    pairs = _pair_counts(ps)
+    pairs = _pair_counts(*_pair_keys(ps, lines=True))
     by_weight = map(CanonLine3, sorted(pairs, key=lambda k: (-pairs[k], k)))
     heaviest = next(by_weight, None)
     for line in by_weight:

@@ -36,7 +36,10 @@ Projections from a set point are kept projective: the image of q under
 projection from p is the direction of the line pq, as a point of the rational
 projective plane. No image plane is ever chosen, which makes the projection
 exact and canonical while preserving exactly the collinearity structure a
-generic image plane would show.
+generic image plane would show. A line of the image is a plane through p, so
+the projection hunt (``kelly_trace``) reads the image lines as the bundles of
+p's direction classes, and each hunted plane's ordinary lines as the pair keys
+counted once.
 """
 
 from __future__ import annotations
@@ -78,7 +81,6 @@ __all__ = [
     "max_coplanar",
     "point_degrees",
     "project_from",
-    "image_point_set",
     "kelly_trace",
 ]
 
@@ -143,12 +145,11 @@ class SpanSummary:
 
 @dataclass
 class PlaneSummary:
-    """Every spanned plane of a 3D set, with its point count and the sorted
-    indices of the set's points on it."""
+    """Every spanned plane of a 3D set with the number of the set's points on it,
+    in plane order (``CanonPlane.sort_key``)."""
 
     plane_counts: dict[CanonPlane, int]
     max_coplanar: int
-    plane_points: dict[CanonPlane, tuple[int, ...]]
 
 
 @dataclass
@@ -208,30 +209,9 @@ def _pair_keys(P: PointSet, lines: bool):
     return P.homs, cross_row
 
 
-def _group_lines(items, row) -> dict:
-    """Map each line spanned by the items to the sorted positions of its items,
-    with ``row`` a row key as ``_pair_keys`` gives it (naming whole lines).
-
-    A line is complete at its smallest-index anchor, so a key seen before is skipped.
-    """
-    n = len(items)
-    groups: dict = {}
-    for i in range(n - 1):
-        classes: dict = {}
-        for j, k in enumerate(row(items[i], items[i + 1 :]), i + 1):
-            if k in classes:
-                classes[k].append(j)
-            else:
-                classes[k] = [i, j]
-        for k, members in classes.items():
-            if k not in groups:
-                groups[k] = tuple(members)
-    return groups
-
-
-def _pair_counts(P: PointSet) -> Counter:
-    """Count the point pairs on each spanned line's key: C(k, 2) on a k-point line."""
-    items, row = _pair_keys(P, lines=True)
+def _pair_counts(items, row) -> Counter:
+    """Count the item pairs on each spanned line's key, with ``row`` a row key as
+    ``_pair_keys`` gives it (naming whole lines): C(k, 2) on a k-point line."""
     rows = (row(items[i], items[i + 1 :]) for i in range(len(items) - 1))
     return Counter(chain.from_iterable(rows))
 
@@ -263,7 +243,7 @@ def ordinary_lines(P: PointSet) -> list[CanonLine2 | CanonLine3]:
     """The spanned lines containing exactly two points of P, canonically sorted."""
     if len(P) < 2:
         raise UsageError("ordinary_lines needs at least 2 points")
-    out = [key for key, pairs in _pair_counts(P).items() if pairs == 1]
+    out = [key for key, pairs in _pair_counts(*_pair_keys(P, lines=True)).items() if pairs == 1]
     if P.field_name != "Q":  # the Qw path's keys are lines already
         return sorted(out, key=lambda line: line.sort_key())
     # Rational keys are bare integer tuples, which sort as their lines' sort_key does.
@@ -461,15 +441,14 @@ def _plane_groups(P: PointSet, min_points: int = 3) -> dict[tuple[int, ...], tup
 def plane_summary(P: PointSet) -> PlaneSummary:
     """Classify every spanned plane of a 3D set by the points of P it contains."""
     groups = _plane_groups(P)
-    keys = sorted(groups)  # bare integer tuples sort as their planes' sort_key does
-    points = dict(zip(map(CanonPlane, keys), map(groups.__getitem__, keys)))
-    del groups, keys  # freed before the second dict is built, which lowers the peak
-    counts = dict(zip(points, map(len, points.values())))
-    return PlaneSummary(counts, max(counts.values()), points)
+    # Bare integer tuples sort as their planes' sort_key does.
+    counts = {CanonPlane(k): len(groups[k]) for k in sorted(groups)}
+    return PlaneSummary(counts, max(counts.values()))
 
 
-def project_from(P: PointSet, center_index: int) -> ProjectionImage:
-    """Project a 3D set from one of its points, grouping the rest by direction."""
+def _center_classes(P: PointSet, center_index: int) -> dict[tuple[int, ...], list[int]]:
+    """The other points of a 3D set grouped by their direction from the center
+    (``_direction_classes``): the preimages of the projection's image points."""
     if P.kind is not Kind.AFFINE3:
         raise UsageError("project_from needs a 3D affine set")
     if len(P) < 2:
@@ -477,68 +456,62 @@ def project_from(P: PointSet, center_index: int) -> ProjectionImage:
     if not 0 <= center_index < len(P):
         raise UsageError(f"center index {center_index} out of range for {len(P)} points")
     others = chain(range(center_index), range(center_index + 1, len(P)))
-    by_dir = _direction_classes(P.homs, center_index, others)
+    return _direction_classes(P.homs, center_index, others)
+
+
+def project_from(P: PointSet, center_index: int) -> ProjectionImage:
+    """Project a 3D set from one of its points, grouping the rest by direction."""
+    by_dir = _center_classes(P, center_index)
     groups = [(projective2(*d), tuple(idxs)) for d, idxs in by_dir.items()]
     groups.sort(key=lambda g: g[0].sort_key())
     return ProjectionImage(center=center_index, groups=groups, source=P)
 
 
-def image_point_set(img: ProjectionImage) -> tuple[PointSet, tuple[bool, ...]]:
-    """The projected set as projective points, with a unique-preimage flag per point."""
-    pts = tuple(p for p, _ in img.groups)
-    flags = tuple(len(idxs) == 1 for _, idxs in img.groups)
-    label = f"{img.source.label or 'set'}/projected-from-{img.center}"
-    return PointSet(pts, label=label), flags
-
-
 def kelly_trace(P: PointSet, center_index: int) -> KellyTraceReport:
     """Hunt for ordinary lines of P avoiding one point, via the projection from it.
 
-    Projects P from the chosen center, finds the image lines that have at least
-    two image points but no unique-preimage point, and exhaustively searches the
-    plane over each such image line for ordinary lines of P that avoid the
-    center. Over the rationals that search is guaranteed to succeed for every
-    such plane; an empty-handed search is reported as an invariant violation
+    The image points are the center's direction classes, and a class of one
+    point is a unique-preimage point. An image line is a plane through the
+    center, so the image lines with at least two image points are the bundles
+    of those classes (``_bundles``). In each bundle with no unique-preimage
+    point, the plane's lines through the center hold a whole class of at least
+    two points besides the center, so the plane's ordinary lines are those that
+    avoid the center: its pair keys counted once. Over the rationals every such
+    plane has one; an empty-handed search is reported as an invariant violation
     rather than papered over.
     """
     if P.field_name != "Q":
         raise UsageError("kelly_trace needs a rational point set")
-    img = project_from(P, center_index)
-    q1, flags = image_point_set(img)
-    q2_size = sum(flags)
-    report = KellyTraceReport(
-        q1_size=len(q1), q2_size=q2_size, l1_size=0, found_ordinary=[]
-    )
-    if len(q1) < 2:
-        return report
-
+    classes = _center_classes(P, center_index)
+    members = list(classes.values())
+    sizes = list(map(len, members))
     homs = P.homs
-    found: set[CanonLine3] = set()
-    for g in _group_lines(*_pair_keys(q1, lines=True)).values():
-        if any(flags[k] for k in g):
+    center = homs[center_index]
+    l1_size = 0
+    found: set[tuple[int, ...]] = set()
+    for bundle in _bundles(list(classes), sizes).values():
+        if any(sizes[c] == 1 for c in bundle[1:]):
             continue
-        report.l1_size += 1
-        # The plane through the center and this image line meets P exactly in
-        # the center plus the preimages, so the lines of that local set (with
-        # the center at position 0) are the lines of P in the plane.
-        local = [homs[center_index]]
-        for k in g:
-            local.extend(homs[i] for i in img.groups[k][1])
-        found_here = 0
-        for key, members in _group_lines(local, plucker_row).items():
-            if len(members) == 2 and 0 not in members:
-                found.add(CanonLine3(key))
-                found_here += 1
-        if found_here == 0:
+        l1_size += 1
+        # The plane meets P exactly in the center and the bundle's classes.
+        local = [center] + [homs[i] for c in bundle[1:] for i in members[c]]
+        ordinary = [key for key, pairs in _pair_counts(local, plucker_row).items() if pairs == 1]
+        if not ordinary:
             raise InvariantViolationError(
                 "no ordinary line avoiding the center in a plane where one is guaranteed"
             )
+        found.update(ordinary)
 
-    for line in found:
-        on_line = sum(1 for h in homs if _plucker_incident(line.plucker, h))
-        if on_line != 2 or _plucker_incident(line.plucker, homs[center_index]):
+    for plucker in found:
+        on_line = sum(1 for h in homs if _plucker_incident(plucker, h))
+        if on_line != 2 or _plucker_incident(plucker, center):
             raise InvariantViolationError("recorded line is not ordinary or hits the center")
-    report.found_ordinary = sorted(found, key=lambda line: line.sort_key())
-    if len(report.found_ordinary) < report.l1_size:
+    if len(found) < l1_size:
         raise InvariantViolationError("fewer ordinary lines than hunted planes")
-    return report
+    # Bare Plücker tuples sort as their lines' sort_key does.
+    return KellyTraceReport(
+        q1_size=len(sizes),
+        q2_size=sizes.count(1),
+        l1_size=l1_size,
+        found_ordinary=list(map(CanonLine3, sorted(found))),
+    )

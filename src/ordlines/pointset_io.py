@@ -154,6 +154,6 @@ def read_pointset_file(path: str) -> PointSet:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     return parse_pointset(text)

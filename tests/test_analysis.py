@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ordlines import (
     DegenerateInputError,
@@ -54,6 +56,20 @@ def test_constants_positive_on_percent_grid():
         assert 0 < bc.mu < bc.alpha < bc.nu
         assert bc.d_alpha > 0
         assert bc.d_alpha == min(bc.d_case1, bc.d_case2a, bc.d_case2b)
+
+
+_unit = st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(lambda x: 0 < x < 1)
+
+
+@given(_unit, _unit, _unit)
+def test_nu_exceeds_alpha_for_every_parameter(alpha, beta, gamma):
+    # nu - alpha = (1 - alpha)^2 (gamma - m/2) with m = min(alpha, beta, gamma)
+    # <= gamma, so nu > alpha > 0 on all of (0, 1)^3: the DomainError for
+    # nu <= 0 and the violation lines of `constants --grid` cannot be reached.
+    bc = bound_constants(alpha, beta, gamma)
+    assert bc.nu - alpha == (1 - alpha) ** 2 * (gamma - min(alpha, beta, gamma) / 2)
+    assert bc.mu < alpha < bc.nu
+    assert bc.d_alpha > 0
 
 
 @pytest.mark.parametrize("bad", [0, 1, Fraction(-1, 2), Fraction(3, 2)])

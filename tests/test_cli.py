@@ -429,6 +429,17 @@ def test_cli_fuzz_never_raises(runner, tmp_path, command, file_name):
     assert _pin_digest(result, tmp_path) == _PINS[f"fuzz/{command}/{file_name}"]
 
 
+@pytest.mark.parametrize("command", sorted(_FUZZ_COMMANDS))
+def test_non_utf8_file_is_a_usage_error(runner, tmp_path, command):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"dim=3 kind=affine field=Q\n1 2 3\n# caf\xe9 \xff\n")
+    args = [a.format(f=str(path), out=str(tmp_path / "out.txt")) for a in _FUZZ_COMMANDS[command]]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1, _everything(result)
+    assert isinstance(result.exception, SystemExit)
+    assert f"Error: cannot read {path}: 'utf-8' codec can't decode" in _everything(result)
+
+
 # --- pinned output --------------------------------------------------------
 # sha256 of (exit code, stdout, stderr) per invocation, with the test's own
 # directory written as <tmp>. The table (cli_pins.json) was recorded before the

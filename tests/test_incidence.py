@@ -27,7 +27,6 @@ from ordlines import (
     gen_near_coplanar,
     gen_random,
     gen_two_skew,
-    image_point_set,
     incident,
     kelly_trace,
     max_coplanar,
@@ -41,8 +40,8 @@ from ordlines import (
     verify_sylvester_gallai,
     write_pointset,
 )
-from ordlines.geometry import Kind, int_hom, plane_key
-from ordlines.incidence import _breaks_cap, _group_lines, _pair_keys, _plane_groups
+from ordlines.geometry import CanonPlane, Kind, int_hom, plane_key
+from ordlines.incidence import _breaks_cap, _pair_counts, _pair_keys, _plane_groups
 from conftest import (
     big_rational,
     big_vec,
@@ -256,11 +255,10 @@ def test_plane_kernel_matches_naive_oracle(P):
         a, b = members[:2]
         c = next(c for c in members[2:] if not collinear(P[a], P[b], P[c]))
         assert key == plane_key(int_hom(P[a]), int_hom(P[b]), int_hom(P[c]))
+        assert members == tuple(i for i in range(len(P)) if incident(CanonPlane(key), P[i]))
     ps = plane_summary(P)
     assert ps.plane_counts == naive_plane_counts(P)
     assert ps.max_coplanar == max(len(m) for m in naive)
-    for plane, members in ps.plane_points.items():
-        assert members == tuple(i for i in range(len(P)) if incident(plane, P[i]))
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -399,12 +397,12 @@ def _assert_line_kernel_matches_naive(P):
     assert s.t == naive_span(P)
     assert (s.num_lines, s.max_collinear) == (len(naive), max(map(len, naive)))
     assert point_degrees(P) == [sum(i in members for members in naive) for i in range(len(P))]
-    groups = _group_lines(*_pair_keys(P, lines=True))
-    assert {frozenset(members) for members in groups.values()} == naive
-    for key, members in groups.items():
-        assert list(members) == sorted(members)
-        line = canon_line(P[members[0]], P[members[1]])
-        assert key == (line.plucker if P.kind is Kind.AFFINE3 else line.vector)
+    expected = {}
+    for members in naive:
+        a, b = sorted(members)[:2]
+        line = canon_line(P[a], P[b])
+        expected[line.plucker if P.kind is Kind.AFFINE3 else line.vector] = comb(len(members), 2)
+    assert _pair_counts(*_pair_keys(P, lines=True)) == expected
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -459,9 +457,8 @@ def test_project_two_skew_from_first_point():
     img = project_from(P, 0)
     sizes = sorted(len(idxs) for _, idxs in img.groups)
     assert sizes == [1, 1, 1, 1, 3]
-    q1, flags = image_point_set(img)
-    assert len(q1) == 5
-    assert sum(flags) == 4
+    assert len(img.groups) == 5
+    assert sum(len(idxs) == 1 for _, idxs in img.groups) == 4
 
 
 def test_project_three_collinear_from_middle():
@@ -469,18 +466,15 @@ def test_project_three_collinear_from_middle():
     img = project_from(P, 1)
     assert len(img.groups) == 1
     assert len(img.groups[0][1]) == 2
-    q1, flags = image_point_set(img)
-    assert len(q1) == 1
-    assert flags == (False,)
+    assert [len(idxs) == 1 for _, idxs in img.groups] == [False]
 
 
 def test_project_simplex():
     P = PointSet([affine3(0, 0, 0), affine3(1, 0, 0), affine3(0, 1, 0), affine3(0, 0, 1)])
     img = project_from(P, 0)
     assert [len(idxs) for _, idxs in img.groups] == [1, 1, 1]
-    q1, flags = image_point_set(img)
-    assert sum(flags) == 3
-    a, b, c = q1.points
+    assert sum(len(idxs) == 1 for _, idxs in img.groups) == 3
+    a, b, c = (image_point for image_point, _ in img.groups)
     assert not collinear(a, b, c)
 
 
@@ -595,6 +589,33 @@ def test_kelly_trace_matches_naive_oracle_on_a_box(center):
     assert set(rep.found_ordinary) == {canon_line(P[i], P[j]) for i, j in map(sorted, found)}
 
 
+def _symmetric_set(seed: int) -> PointSet:
+    """The origin (index 0) and ±v for three to six random small integer vectors v."""
+    rng = random.Random(seed)
+    vs: set[tuple[int, int, int]] = set()
+    pairs = rng.randint(3, 6)
+    while len(vs) < 2 * pairs:
+        v = tuple(rng.randint(-2, 2) for _ in range(3))
+        if any(v):
+            vs |= {v, tuple(-c for c in v)}
+    return PointSet([affine3(0, 0, 0)] + [affine3(*v) for v in sorted(vs)], label=f"pm-{seed}")
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_kelly_trace_matches_naive_oracle_on_symmetric_sets(seed):
+    # From the center of symmetry (the origin) every class has two points, so
+    # every plane through it is hunted; the 3x3x3 box is checked above.
+    P = _symmetric_set(seed)
+    assert naive_kelly_found(P, 0)[1] > 0
+    for center in range(len(P)):
+        found, l1_size = naive_kelly_found(P, center)
+        rep = kelly_trace(P, center)
+        assert rep.l1_size == l1_size
+        assert rep.found_ordinary == sorted(
+            (canon_line(P[i], P[j]) for i, j in map(sorted, found)), key=lambda line: line.sort_key()
+        )
+
+
 # --- golden hunts -------------------------------------------------------------
 #
 # Recorded once and never re-pinned (kelly_pins.json): for every center of each
@@ -706,7 +727,8 @@ def test_golden_coplanar_heavy_planes():
     assert any(h[3] != 1 for h in P.homs)  # plane keys take the weighted path
     s = plane_summary(P)
     assert (len(s.plane_counts), s.max_coplanar) == (3606, 15)
-    assert _sha256_of([(plane.vector, members) for plane, members in s.plane_points.items()]) == (
+    groups = _plane_groups(P)
+    assert _sha256_of([(k, groups[k]) for k in sorted(groups)]) == (
         "69e324e6eefe297196b2804ac684120afaed3474c6def5418adbcf21ff67e570"
     )
 
@@ -777,12 +799,13 @@ def test_golden_plane_counts(make, count, top, digest):
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(planted_sets())
-def test_plane_summary_dicts_share_one_sorted_order(P):
+def test_plane_summary_counts_the_kernel_groups_in_sorted_order(P):
     try:
         s = plane_summary(P)
     except DegenerateInputError:  # every point on one line
         return
     planes = list(s.plane_counts)
-    assert planes == list(s.plane_points)
+    groups = _plane_groups(P)
+    assert [plane.vector for plane in planes] == sorted(groups)
     assert planes == sorted(planes, key=lambda plane: plane.sort_key())
-    assert [s.plane_counts[p] for p in planes] == [len(s.plane_points[p]) for p in planes]
+    assert [s.plane_counts[p] for p in planes] == [len(groups[p.vector]) for p in planes]
