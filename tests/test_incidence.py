@@ -567,15 +567,22 @@ def test_kelly_needs_rational_input():
         kelly_trace(gen_hesse(), 0)
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(planted_sets(run_through_first=True))
-def test_kelly_trace_matches_naive_oracle(P):
-    found, l1_size = naive_kelly_found(P, 0)
-    rep = kelly_trace(P, 0)
+def _assert_kelly_matches_naive(P: PointSet, center: int) -> int:
+    """Assert that kelly_trace from the center finds exactly what the naive
+    oracle does, and return the number of hunted planes."""
+    found, l1_size = naive_kelly_found(P, center)
+    rep = kelly_trace(P, center)
     assert rep.l1_size == l1_size
     assert rep.found_ordinary == sorted(
         (canon_line(P[i], P[j]) for i, j in map(sorted, found)), key=lambda line: line.sort_key()
     )
+    return l1_size
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(planted_sets(run_through_first=True))
+def test_kelly_trace_matches_naive_oracle(P):
+    _assert_kelly_matches_naive(P, 0)
 
 
 @pytest.mark.parametrize("center", [4, 13])  # a face centre, the box centre
@@ -583,10 +590,7 @@ def test_kelly_trace_matches_naive_oracle_on_a_box(center):
     # The hunted planes of a 3x3x3 box hold lines with three points, none of
     # which may be recorded as ordinary.
     P = PointSet([affine3(x, y, z) for x in range(3) for y in range(3) for z in range(3)])
-    found, l1_size = naive_kelly_found(P, center)
-    rep = kelly_trace(P, center)
-    assert rep.l1_size == l1_size > 0
-    assert set(rep.found_ordinary) == {canon_line(P[i], P[j]) for i, j in map(sorted, found)}
+    assert _assert_kelly_matches_naive(P, center) > 0
 
 
 def _symmetric_set(seed: int) -> PointSet:
@@ -606,14 +610,8 @@ def test_kelly_trace_matches_naive_oracle_on_symmetric_sets(seed):
     # From the center of symmetry (the origin) every class has two points, so
     # every plane through it is hunted; the 3x3x3 box is checked above.
     P = _symmetric_set(seed)
-    assert naive_kelly_found(P, 0)[1] > 0
-    for center in range(len(P)):
-        found, l1_size = naive_kelly_found(P, center)
-        rep = kelly_trace(P, center)
-        assert rep.l1_size == l1_size
-        assert rep.found_ordinary == sorted(
-            (canon_line(P[i], P[j]) for i, j in map(sorted, found)), key=lambda line: line.sort_key()
-        )
+    l1_sizes = [_assert_kelly_matches_naive(P, center) for center in range(len(P))]
+    assert l1_sizes[0] > 0
 
 
 # --- golden hunts -------------------------------------------------------------
