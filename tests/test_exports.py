@@ -1,8 +1,10 @@
-"""Every name a module exports through ``__all__`` resolves, and every private
-module-level name of the package is used somewhere in it."""
+"""The package exports a pinned set of public names, no two modules export the
+same name, every name a module exports through ``__all__`` resolves, and every
+private module-level name of the package is used somewhere in it."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -11,6 +13,52 @@ import pytest
 import ordlines
 
 MODULES = ["ordlines"] + [f"ordlines.{m.name}" for m in pkgutil.iter_modules(ordlines.__path__)]
+
+# The modules whose public names the package re-exports.
+LIBRARY_MODULES = [
+    "analysis", "constructions", "errors", "fields", "geometry", "incidence", "pointset_io", "search",
+]
+
+PUBLIC_NAMES = [
+    "AlmostCoplanarReport", "BoroczkyModelSummary", "BoundConstants", "CanonLine2", "CanonLine3",
+    "CanonPlane", "ConcurrentProbeReport", "DegenerateInputError", "DomainError", "Eisenstein",
+    "GenerationError", "InvariantViolationError", "KellyTraceReport", "Kind", "OrdlinesError",
+    "ParseError", "PlaneSummary", "Point", "PointSet", "ProjectionImage", "Scalar", "SearchConfig",
+    "SearchResult", "SkewBoundReport", "SpanSummary", "SylvesterGallaiReport", "UsageError", "W",
+    "affine2", "affine3", "as_scalar", "boroczky_model", "bound_constants", "canon_line",
+    "canon_plane", "collinear", "concurrent_lines_probe", "coplanar", "format_eisenstein",
+    "gamma_prime", "gen_coplanar_heavy", "gen_grid2d", "gen_hesse", "gen_near_coplanar",
+    "gen_random", "gen_two_skew", "incident", "kelly_trace", "make_point", "max_coplanar",
+    "minimize_ordinary", "ordinary_lines", "parse_pointset", "plane_ordinary_profile",
+    "plane_summary", "point_degrees", "project_from", "projective2", "read_pointset_file", "skew",
+    "span_summary", "verify_almost_coplanar", "verify_skew_bound", "verify_sylvester_gallai",
+    "write_pointset",
+]
+
+
+def test_package_exports_the_pinned_names():
+    assert len(PUBLIC_NAMES) == 65
+    assert sorted(ordlines.__all__) == PUBLIC_NAMES
+    # Submodules (``cli`` too, once imported) are attributes but not exports.
+    public = [
+        n for n in dir(ordlines) if not n.startswith("_") and not inspect.ismodule(getattr(ordlines, n))
+    ]
+    assert public == PUBLIC_NAMES
+
+
+def test_module_export_lists_are_disjoint():
+    # The package star-imports every module, so a name two modules export
+    # would silently resolve to the later one.
+    exported = {
+        m: set(getattr(importlib.import_module(f"ordlines.{m}"), "__all__", ())) for m in LIBRARY_MODULES
+    }
+    shared = [
+        (a, b, sorted(exported[a] & exported[b]))
+        for i, a in enumerate(LIBRARY_MODULES)
+        for b in LIBRARY_MODULES[i + 1 :]
+        if exported[a] & exported[b]
+    ]
+    assert shared == []
 
 
 @pytest.mark.parametrize("name", MODULES)
