@@ -1,140 +1,28 @@
 """Exact-arithmetic laboratory for ordinary lines and spanned lines and planes
-of finite point sets in the plane and in space."""
+of finite point sets in the plane and in space.
 
-from .analysis import (
-    AlmostCoplanarReport,
-    BoundConstants,
-    ConcurrentProbeReport,
-    SkewBoundReport,
-    SylvesterGallaiReport,
-    bound_constants,
-    concurrent_lines_probe,
-    gamma_prime,
-    plane_ordinary_profile,
-    verify_almost_coplanar,
-    verify_skew_bound,
-    verify_sylvester_gallai,
-)
-from .constructions import (
-    BoroczkyModelSummary,
-    boroczky_model,
-    gen_coplanar_heavy,
-    gen_grid2d,
-    gen_hesse,
-    gen_near_coplanar,
-    gen_random,
-    gen_two_skew,
-)
-from .errors import (
-    DegenerateInputError,
-    DomainError,
-    GenerationError,
-    InvariantViolationError,
-    OrdlinesError,
-    ParseError,
-    UsageError,
-)
-from .fields import Eisenstein, Scalar, W, as_scalar, format_eisenstein
-from .geometry import (
-    CanonLine2,
-    CanonLine3,
-    CanonPlane,
-    Kind,
-    Point,
-    affine2,
-    affine3,
-    canon_line,
-    canon_plane,
-    collinear,
-    coplanar,
-    incident,
-    make_point,
-    projective2,
-    skew,
-)
-from .incidence import (
-    KellyTraceReport,
-    PlaneSummary,
-    PointSet,
-    ProjectionImage,
-    SpanSummary,
-    kelly_trace,
-    max_coplanar,
-    ordinary_lines,
-    plane_summary,
-    point_degrees,
-    project_from,
-    span_summary,
-)
-from .pointset_io import parse_pointset, read_pointset_file, write_pointset
-from .search import SearchConfig, SearchResult, minimize_ordinary
+Each module's ``__all__`` declares its public names; the package re-exports them.
+"""
+
+from . import analysis, constructions, errors, fields, geometry, incidence, pointset_io, search
+from .analysis import *  # noqa: F403
+from .constructions import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .fields import *  # noqa: F403
+from .geometry import *  # noqa: F403
+from .incidence import *  # noqa: F403
+from .pointset_io import *  # noqa: F403
+from .search import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlmostCoplanarReport",
-    "BoroczkyModelSummary",
-    "BoundConstants",
-    "CanonLine2",
-    "CanonLine3",
-    "CanonPlane",
-    "ConcurrentProbeReport",
-    "DegenerateInputError",
-    "DomainError",
-    "Eisenstein",
-    "GenerationError",
-    "InvariantViolationError",
-    "KellyTraceReport",
-    "Kind",
-    "OrdlinesError",
-    "ParseError",
-    "PlaneSummary",
-    "Point",
-    "PointSet",
-    "ProjectionImage",
-    "Scalar",
-    "SearchConfig",
-    "SearchResult",
-    "SkewBoundReport",
-    "SpanSummary",
-    "SylvesterGallaiReport",
-    "UsageError",
-    "W",
-    "affine2",
-    "affine3",
-    "as_scalar",
-    "boroczky_model",
-    "bound_constants",
-    "canon_line",
-    "canon_plane",
-    "collinear",
-    "concurrent_lines_probe",
-    "coplanar",
-    "format_eisenstein",
-    "gamma_prime",
-    "gen_coplanar_heavy",
-    "gen_grid2d",
-    "gen_hesse",
-    "gen_near_coplanar",
-    "gen_random",
-    "gen_two_skew",
-    "incident",
-    "kelly_trace",
-    "make_point",
-    "max_coplanar",
-    "minimize_ordinary",
-    "ordinary_lines",
-    "parse_pointset",
-    "plane_ordinary_profile",
-    "plane_summary",
-    "point_degrees",
-    "project_from",
-    "projective2",
-    "read_pointset_file",
-    "skew",
-    "span_summary",
-    "verify_almost_coplanar",
-    "verify_skew_bound",
-    "verify_sylvester_gallai",
-    "write_pointset",
-]
+__all__ = (
+    analysis.__all__
+    + constructions.__all__
+    + errors.__all__
+    + fields.__all__
+    + geometry.__all__
+    + incidence.__all__
+    + pointset_io.__all__
+    + search.__all__
+)

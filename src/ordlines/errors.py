@@ -1,5 +1,15 @@
 """Exception taxonomy shared by all modules."""
 
+__all__ = [
+    "OrdlinesError",
+    "UsageError",
+    "DegenerateInputError",
+    "DomainError",
+    "GenerationError",
+    "InvariantViolationError",
+    "ParseError",
+]
+
 
 class OrdlinesError(Exception):
     """Base class for all errors raised by this package."""

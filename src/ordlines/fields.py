@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-__all__ = ["Eisenstein", "W", "Scalar", "as_scalar", "scalar_sort_key"]
+__all__ = ["Eisenstein", "W", "Scalar", "as_scalar", "format_eisenstein"]
 
 
 def _to_fraction(value) -> Fraction:

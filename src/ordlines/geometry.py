@@ -32,6 +32,7 @@ __all__ = [
     "affine2",
     "affine3",
     "projective2",
+    "make_point",
     "CanonLine2",
     "CanonLine3",
     "CanonPlane",

@@ -255,7 +255,7 @@ def max_coplanar(P: PointSet) -> int:
     each anchor with the later points: a plane is complete at its first point."""
     return max(
         _heaviest_of_classes(list(classes), list(map(len, classes.values())))
-        for _, classes in _plane_anchors(_plane_homs(P, "max_coplanar"), 2)
+        for _, classes in _plane_anchors(P, 2, "max_coplanar")
     )
 
 
@@ -267,7 +267,7 @@ def _breaks_cap(P: PointSet, cap: int, name: str = "max_coplanar") -> bool:
     """
     return any(
         _some_plane_holds(list(classes), list(map(len, classes.values())), cap)
-        for _, classes in _plane_anchors(_plane_homs(P, name), cap)
+        for _, classes in _plane_anchors(P, cap, name)
     )
 
 
@@ -383,21 +383,18 @@ def _some_plane_holds(dirs: list, sizes: list[int], m: int) -> bool:
     return False
 
 
-def _plane_homs(P: PointSet, name: str) -> tuple[tuple[int, ...], ...]:
-    """The integer coordinates of a 3D set of at least 3 points, checked for ``name``."""
+def _plane_anchors(P: PointSet, later: int, name: str):
+    """Yield (i, classes) for each anchor i of a 3D set with at least ``later``
+    later points (and at least 2), its later points grouped by direction
+    (``_direction_classes``). A plane is complete at its smallest-index anchor.
+    Raises UsageError (naming the caller ``name``) unless P is a 3D set of at
+    least 3 points, then DegenerateInputError when every point is on one line,
+    both whether or not anchor 0 is yielded."""
     if P.kind is not Kind.AFFINE3:
         raise UsageError(f"{name} needs a 3D affine set")
     if len(P) < 3:
         raise UsageError(f"{name} needs at least 3 points")
-    return P.homs
-
-
-def _plane_anchors(homs, later: int):
-    """Yield (i, classes) for each anchor i of a 3D set with at least ``later``
-    later points (and at least 2), its later points grouped by direction
-    (``_direction_classes``). A plane is complete at its smallest-index anchor.
-    Raises DegenerateInputError first when every point is on one line, whether or
-    not anchor 0 is yielded."""
+    homs = P.homs
     n = len(homs)
     classes = _direction_classes(homs, 0, range(1, n))
     if len(classes) < 2:
@@ -417,10 +414,9 @@ def _plane_groups(P: PointSet, min_points: int = 3) -> dict[tuple[int, ...], tup
     positive, so the plane's vector (w*n, d) has content gcd(w, d) and needs no
     sign change.
     """
-    homs = _plane_homs(P, "plane_summary")
     groups: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for i, classes in _plane_anchors(homs, min_points - 1):
-        x0, x1, x2, w = homs[i]
+    for i, classes in _plane_anchors(P, min_points - 1, "plane_summary"):
+        x0, x1, x2, w = P.homs[i]  # read after the anchors' checks
         members = list(classes.values())
         for (n0, n1, n2), bundle in _bundles(list(classes), list(map(len, members))).items():
             if bundle[0] < min_points - 1:

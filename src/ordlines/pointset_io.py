@@ -22,7 +22,7 @@ from .incidence import PointSet
 
 __all__ = ["parse_pointset", "write_pointset", "read_pointset_file"]
 
-_RAT_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RAT_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$", re.ASCII)
 
 _HEADERS = {
     ("2", "affine"): Kind.AFFINE2,
@@ -152,7 +152,7 @@ def write_pointset(P: PointSet) -> str:
 
 def read_pointset_file(path: str) -> PointSet:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc

@@ -15,9 +15,9 @@ denominator to 2^20 (as ``Fraction.limit_denominator`` does); it reaches
 
 Points are held as their integer homogeneous coordinates (``int_hom``: a
 primitive 4-tuple with a positive weight). A proposal forms the new tuple
-from the drawn numerators and denominators and reduces it with one gcd, so
-the occupied set is keyed by these canonical tuples, and ``Point``s are
-built only for the best set.
+from the drawn numerators and denominators and reduces it with one gcd, so a
+proposal onto an occupied place is found by comparing these canonical tuples,
+and ``Point``s are built only for the best set.
 
 Proposals are scored incrementally. The state keeps the canonical line key
 of every point pair and how many pairs map to each key; a line with k points
@@ -45,7 +45,7 @@ from fractions import Fraction
 from math import floor, gcd
 
 from .analysis import plane_ordinary_profile
-from .constructions import _random_points, _rng
+from .constructions import RETRY_LIMIT, _random_points, _rng
 from .errors import DegenerateInputError, GenerationError, InvariantViolationError, UsageError
 from .geometry import Kind, Point, affine3, plucker_row
 from .incidence import PointSet, _breaks_cap, _some_plane_holds, span_summary
@@ -209,14 +209,16 @@ class _LineCounts:
 
 
 def _random_start(config: SearchConfig, rng: random.Random) -> PointSet:
-    for _ in range(100):
+    for _ in range(RETRY_LIMIT):
         start = PointSet(_random_points(rng, config.n, 3, config.coordinate_bound))
         try:
             if not _breaks_cap(start, config.cap):
                 return start
         except DegenerateInputError:  # all collinear
             continue
-    raise GenerationError("no random start satisfied the coplanarity cap after 100 tries")
+    raise GenerationError(
+        f"no random start satisfied the coplanarity cap after {RETRY_LIMIT} tries"
+    )
 
 
 def _primitive_hom(h) -> tuple[int, ...]:
@@ -278,7 +280,7 @@ def minimize_ordinary(config: SearchConfig) -> SearchResult:
     rng = _rng(config.seed)
 
     if config.initial is not None:
-        if config.initial.kind is not Kind.AFFINE3 or config.initial.field_name != "Q":
+        if config.initial.kind is not Kind.AFFINE3:  # every 3D set is rational
             raise UsageError("initial set must be rational and 3D")
         if len(config.initial) != config.n:
             raise UsageError(
@@ -291,7 +293,6 @@ def minimize_ordinary(config: SearchConfig) -> SearchResult:
         start = _random_start(config, rng)
 
     homs = list(start.homs)
-    occupied = set(homs)
     lines = _LineCounts(homs)
     current = lines.ordinary
 
@@ -305,7 +306,7 @@ def minimize_ordinary(config: SearchConfig) -> SearchResult:
         move = _MOVES[rng.randrange(len(_MOVES))]
         i, new_hom = _propose(homs, rng, move, config.coordinate_bound)
         tn, td = _limit_denominator(tn * 999, td * 1000, _TEMP_DEN_LIMIT)
-        if new_hom in occupied:
+        if new_hom in homs:
             continue
         old_hom = homs[i]
         homs[i] = new_hom
@@ -322,8 +323,6 @@ def minimize_ordinary(config: SearchConfig) -> SearchResult:
             homs[i] = old_hom
             lines.replace(i, old_keys)
             continue
-        occupied.discard(old_hom)
-        occupied.add(new_hom)
         current = candidate
         accepted += 1
         if current < best_count:

@@ -151,6 +151,15 @@ def test_verify_skew_bound(runner, tmp_path):
     assert result.exit_code != 0
 
 
+def test_verify_skew_bound_rejects_a_single_index(runner, tmp_path):
+    path = _gen(runner, tmp_path, "skew", "--m", "10", name="skew10.txt")
+    result = runner.invoke(
+        main, ["verify", "skew-bound", str(path), "--line1", "0", "--line2", "1,2"]
+    )
+    assert result.exit_code == 1
+    assert result.output == "Error: --line1 expects two indices like 0,1\n"
+
+
 def test_verify_skew_bound_on_2d_input_is_a_usage_error(runner, tmp_path):
     planar = _gen(runner, tmp_path, "grid", "--m", "3", name="planar.txt")
     for extra in ([], ["--line1", "0,1", "--line2", "3,4"]):
@@ -212,6 +221,28 @@ def test_constants_command(runner):
         main, ["constants", "--alpha", "x", "--beta", "2/3", "--gamma", "1/9"]
     )
     assert result.exit_code != 0
+
+
+def _readme_output(command: str, count: int) -> list[str]:
+    """The first ``count`` output lines README shows under ``$ <command>``."""
+    lines = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index(f"$ {command}") + 1
+    return lines[start : start + count]
+
+
+def test_constants_text_matches_readme(runner):
+    result = runner.invoke(
+        main, ["constants", "--alpha", "2/27", "--beta", "2/3", "--gamma", "1/9"]
+    )
+    assert result.exit_code == 0
+    expected = _readme_output("ordlines constants --alpha 2/27 --beta 2/3 --gamma 1/9", 5)
+    assert result.output.splitlines()[:5] == expected
+
+
+def test_boroczky_text_matches_readme(runner):
+    result = runner.invoke(main, ["boroczky", "--m", "8"])
+    assert result.exit_code == 0
+    assert result.output.splitlines() == _readme_output("ordlines boroczky --m 8", 2)
 
 
 def test_boroczky_command(runner):

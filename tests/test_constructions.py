@@ -25,6 +25,7 @@ from ordlines import (
     span_summary,
     write_pointset,
 )
+from ordlines.constructions import _rand_fraction, _rng
 
 
 def test_two_skew_small_counts():
@@ -227,3 +228,15 @@ def test_golden_near_coplanar_after_a_rejected_draw():
     P = gen_near_coplanar(8, 3, 302)
     assert not any(p.coords[0] == 0 and p.coords[1] != 0 for p in P)
     assert _sha256_of(P) == "728cf295acce867f7733dbcd20ad79d8c685aee6382986aec529667ba0eff9a2"
+
+
+def test_golden_near_coplanar_skips_a_draw_at_the_origin():
+    # The fifth planar draw of seed 494 is (0, 0), the set's first point; the
+    # loop skips it, and the eighth draw completes the plane.
+    rng = _rng(494)
+    draws = [(_rand_fraction(rng, 50), _rand_fraction(rng, 50)) for _ in range(8)]
+    assert draws[4] == (0, 0)
+    P = gen_near_coplanar(10, 2, 494)
+    planar = [p.coords[:2] for p in P if p.coords[2] == 0 and p.coords != (0, 0, 0)]
+    assert planar == sorted(draws[:4] + draws[5:])
+    assert _sha256_of(P) == "06d4f05f2fe4c00feaec470000871608605f050068ceb5cf59b5bbd516a21118"

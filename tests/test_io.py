@@ -99,3 +99,30 @@ def test_file_round_trip(tmp_path):
     assert read_pointset_file(str(path)).points == P.points
     with pytest.raises(UsageError, match="cannot read"):
         read_pointset_file(str(tmp_path / "absent.txt"))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "dim=2 kind=affine field=Q\n1 2\n3/4 -5\n",
+        "# label: marked\ndim=3 kind=affine field=Q\n1 2 3\n0 0 1\n",
+    ],
+    ids=["header-first", "label-first"],
+)
+def test_byte_order_mark_is_skipped(tmp_path, text):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert read_pointset_file(str(marked)) == read_pointset_file(str(plain))
+
+
+@pytest.mark.parametrize("digit", ["٣", "３"], ids=["arabic-indic-3", "fullwidth-3"])
+def test_non_ascii_digits_are_malformed(digit):
+    # str.isdigit and int() accept these; the file format is ASCII digits only.
+    for body in (
+        f"dim=2 kind=affine field=Q\n1 2\n4 {digit}\n",
+        f"dim=2 kind=affine field=Qw\n1 2\n4 1+{digit}*w\n",
+    ):
+        with pytest.raises(ParseError, match="malformed rational") as excinfo:
+            parse_pointset(body)
+        assert excinfo.value.line == 3
