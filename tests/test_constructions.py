@@ -221,6 +221,19 @@ def test_golden_coplanar_heavy(seed, digest):
     assert _sha256_of(gen_coplanar_heavy(60, Fraction(1, 2), seed)) == digest
 
 
+@pytest.mark.parametrize(
+    "n, alpha, digest",
+    [
+        # m = n: every point is planar and no off-plane point is drawn.
+        (12, Fraction(1), "42b3d700817486ebf2607a302c8a2410160e722ac57154b42e279fafc7075f8b"),
+        # m = 3 planar points, then 4 off-plane points ordered by height.
+        (7, Fraction(3, 7), "40e824fb3ab8b4dee2f798ca71e9a819adf812f61daf3e3779986739a1082da5"),
+    ],
+)
+def test_golden_coplanar_heavy_small(n, alpha, digest):
+    assert _sha256_of(gen_coplanar_heavy(n, alpha)) == digest
+
+
 def test_golden_near_coplanar_after_a_rejected_draw():
     # The first draw of seed 302 puts two planar points on the y-axis, so the
     # plane x = 0 holds the origin, both of them and the three stacked points:

@@ -1,5 +1,6 @@
 """Text format: round trips and line-numbered diagnostics."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -8,7 +9,9 @@ import pytest
 from ordlines import (
     Eisenstein,
     ParseError,
+    PointSet,
     UsageError,
+    affine2,
     gen_grid2d,
     gen_hesse,
     gen_random,
@@ -126,3 +129,28 @@ def test_non_ascii_digits_are_malformed(digit):
         with pytest.raises(ParseError, match="malformed rational") as excinfo:
             parse_pointset(body)
         assert excinfo.value.line == 3
+
+
+def _qw_signs() -> PointSet:
+    return PointSet(
+        [
+            affine2(Eisenstein(Fraction(-1, 2), Fraction(3, 4)), Eisenstein(0, Fraction(-5, 3))),
+            affine2(Eisenstein(7, 0), Eisenstein(Fraction(-2, 9), -1)),
+            affine2(Eisenstein(Fraction(1, 3), Fraction(-1, 3)), Eisenstein(-4, Fraction(11, 2))),
+        ],
+        label="qw-signs",
+    )
+
+
+@pytest.mark.parametrize(
+    "make, digest",
+    [
+        (gen_hesse, "817e8f4a6fd040644685b00487d1be1978ee8cc9593b6196404de4cec5f8c949"),
+        (_qw_signs, "5a37e26f94e359fe0d2242d508db88b9d39b2e9f638618e5b6856b3527338587"),
+    ],
+    ids=["hesse", "qw-signs"],
+)
+def test_golden_written_bytes(make, digest):
+    # sha256 of the written file, so any change to how a scalar or the header
+    # is written shows up here.
+    assert hashlib.sha256(write_pointset(make()).encode("utf-8")).hexdigest() == digest
