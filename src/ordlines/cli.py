@@ -355,9 +355,9 @@ def constants(ctx, alpha, beta, gamma, grid, as_json):
         raise UsageError("give --alpha, or --grid for a scan")
     payload: dict = {"beta": _jrat(b), "gamma": _jrat(g)}
     if alpha is not None:
-        c = bound_constants(_rat(alpha, "alpha"), b, g)
+        at = bound_constants(_rat(alpha, "alpha"), b, g)
         payload["at_alpha"] = {
-            name: _jrat(getattr(c, name))
+            name: _jrat(getattr(at, name))
             for name in (
                 "alpha",
                 "alpha0",
@@ -394,8 +394,8 @@ def constants(ctx, alpha, beta, gamma, grid, as_json):
         click.echo(json.dumps(payload, indent=2))
     else:
         if "at_alpha" in payload:
-            for name, value in payload["at_alpha"].items():
-                click.echo(f"{name:>20} = {value['exact']} (~{value['approx']:.6g})")
+            for name in payload["at_alpha"]:
+                click.echo(f"{name:>20} = {_approx(getattr(at, name))}")
         if grid:
             click.echo(
                 f"grid: min d_alpha = {payload['grid']['min_d_alpha']['exact']} "

@@ -113,7 +113,8 @@ def gen_coplanar_heavy(n: int, alpha: Fraction, seed: int = 0) -> PointSet:
     """A set whose heaviest plane carries exactly floor(alpha*n) points.
 
     floor(alpha*n) random rational points go into z=0, the rest into a box off
-    the plane; regenerates until the heaviest-plane count lands exactly.
+    the plane (z shifted by 60, so never on it), ordered by (z, x, y);
+    regenerates until the heaviest-plane count lands exactly.
     """
     alpha = Fraction(alpha)
     m = floor(alpha * n)
@@ -121,18 +122,10 @@ def gen_coplanar_heavy(n: int, alpha: Fraction, seed: int = 0) -> PointSet:
         raise UsageError(f"floor(alpha*n) = {m} must be between 3 and n = {n}")
     rng = _rng(seed)
     for _ in range(RETRY_LIMIT):
-        coords: set[tuple[Fraction, Fraction, Fraction]] = set()
-        while len(coords) < m:
-            coords.add((_rand_fraction(rng, 50), _rand_fraction(rng, 50), Fraction(0)))
-        while len(coords) < n:
-            coords.add(
-                (
-                    _rand_fraction(rng, 50),
-                    _rand_fraction(rng, 50),
-                    _rand_fraction(rng, 50) + 60,
-                )
-            )
-        pts = [affine3(*c) for c in sorted(coords, key=lambda c: (c[2], c[0], c[1]))]
+        pts = [affine3(*p.coords, 0) for p in _random_points(rng, m, 2, 50)]
+        off = [p.coords for p in _random_points(rng, n - m, 3, 50)]
+        pts += [affine3(x, y, z + 60) for x, y, z in off]
+        pts.sort(key=lambda p: (p.coords[2], p.coords[0], p.coords[1]))
         ps = PointSet(pts, label=f"coplanar-heavy-{n}-{alpha}-seed{seed}")
         if not _breaks_cap(ps, m):  # z = 0 holds m points
             return ps

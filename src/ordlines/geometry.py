@@ -24,7 +24,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import DegenerateInputError, InvariantViolationError, UsageError
-from .fields import Eisenstein, Scalar, as_scalar, scalar_sort_key
+from .fields import Eisenstein, as_scalar, scalar_sort_key
 
 __all__ = [
     "Kind",

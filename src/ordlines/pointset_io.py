@@ -4,7 +4,9 @@ Layout: an optional ``# label: ...`` comment, a header line
 ``dim=<2|3> kind=<affine|projective> field=<Q|Qw>``, then one point per line
 with whitespace-separated coordinates. Rationals are written ``a`` or ``a/b``
 with positive b; extension-field scalars are written ``a+b*w`` with rational
-parts. ``#`` starts a comment line, blank lines are ignored.
+parts. ``#`` starts a comment line, blank lines are ignored. Each header key
+appears once. Only LF, CR LF and CR end a line; form feed, U+000B,
+U+001C-U+001E, U+0085, U+2028 and U+2029 are whitespace within one.
 
 Writing then parsing reproduces the set exactly, label included, and writing
 is deterministic, so write -> parse -> write is byte-identical.
@@ -12,11 +14,12 @@ is deterministic, so write -> parse -> write is byte-identical.
 
 from __future__ import annotations
 
+import io
 import re
 from fractions import Fraction
 
 from .errors import ParseError, UsageError
-from .fields import Eisenstein, format_eisenstein
+from .fields import Eisenstein
 from .geometry import _COORD_COUNT, Kind, Point, make_point
 from .incidence import PointSet
 
@@ -29,6 +32,7 @@ _HEADERS = {
     ("3", "affine"): Kind.AFFINE3,
     ("2", "projective"): Kind.PROJECTIVE2,
 }
+_HEADER_OF = {kind: header for header, kind in _HEADERS.items()}
 
 
 def _parse_rational(token: str, lineno: int) -> Fraction:
@@ -64,6 +68,8 @@ def _parse_header(line: str, lineno: int) -> tuple[Kind, str]:
         if "=" not in part:
             raise ParseError(f"malformed header entry {part!r}", lineno)
         key, _, value = part.partition("=")
+        if key in entries:
+            raise ParseError(f"repeated header key {key!r}", lineno)
         entries[key] = value
     unknown = set(entries) - {"dim", "kind", "field"}
     if unknown:
@@ -95,7 +101,7 @@ def parse_pointset(text: str) -> PointSet:
     points: list[Point] = []
     seen: dict[Point, int] = {}
     lineno = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -131,22 +137,15 @@ def parse_pointset(text: str) -> PointSet:
     return PointSet(points, label=label)
 
 
-def _format_scalar(value) -> str:
-    if isinstance(value, Eisenstein):
-        return format_eisenstein(value)
-    return str(value)
-
-
 def write_pointset(P: PointSet) -> str:
     """Serialize a point set; inverse of parse_pointset, deterministic."""
-    dim = "3" if P.kind is Kind.AFFINE3 else "2"
-    kind = "projective" if P.kind is Kind.PROJECTIVE2 else "affine"
+    dim, kind = _HEADER_OF[P.kind]
     lines = []
     if P.label:
         lines.append(f"# label: {P.label}")
     lines.append(f"dim={dim} kind={kind} field={P.field_name}")
     for p in P:
-        lines.append(" ".join(_format_scalar(c) for c in p.coords))
+        lines.append(" ".join(map(str, p.coords)))
     return "\n".join(lines) + "\n"
 
 

@@ -113,8 +113,8 @@ class SearchConfig:
             raise UsageError("search needs n >= 4")
         alpha = Fraction(self.alpha)
         object.__setattr__(self, "alpha", alpha)
-        if floor(alpha * self.n) < 3:
-            raise UsageError(f"cap floor(alpha*n) = {floor(alpha * self.n)} below 3 is infeasible")
+        if self.cap < 3:
+            raise UsageError(f"cap floor(alpha*n) = {self.cap} below 3 is infeasible")
         if self.iterations < 0:
             raise UsageError("iterations must be nonnegative")
         if self.coordinate_bound < 1:

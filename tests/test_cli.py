@@ -239,6 +239,17 @@ def test_constants_text_matches_readme(runner):
     assert result.output.splitlines()[:5] == expected
 
 
+def test_constants_text_with_grid_keeps_the_given_alpha(runner):
+    # The grid scan evaluates 99 other alphas; the at-alpha lines must not
+    # pick up the last of them.
+    args = ["constants", "--alpha", "2/27", "--beta", "2/3", "--gamma", "1/9"]
+    alone = runner.invoke(main, args).output.splitlines()
+    both = runner.invoke(main, args + ["--grid"]).output.splitlines()
+    assert len(alone) == 11
+    assert both[:11] == alone
+    assert both[11].startswith("grid: min d_alpha = ")
+
+
 def test_boroczky_text_matches_readme(runner):
     result = runner.invoke(main, ["boroczky", "--m", "8"])
     assert result.exit_code == 0

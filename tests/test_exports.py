@@ -1,6 +1,7 @@
 """The package exports a pinned set of public names, no two modules export the
-same name, every name a module exports through ``__all__`` resolves, and every
-private module-level name of the package is used somewhere in it."""
+same name, every name a module exports through ``__all__`` resolves, every
+private module-level name of the package is used somewhere in it, and every
+name a module imports is used in that module."""
 
 import ast
 import importlib
@@ -104,4 +105,22 @@ def test_every_private_module_name_is_used():
         and not name.startswith("__")
         and not any(name in names for j, names in enumerate(used) if j != i)
     ]
+    assert unused == []
+
+
+def test_every_imported_name_is_used():
+    # A name a module imports and never reads is an import left behind by its
+    # last use. Star imports and ``__future__`` imports bind nothing to check.
+    unused = []
+    for path in sorted(Path(ordlines.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = [
+            (alias.asname or alias.name).partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__"
+            for alias in node.names
+            if alias.name != "*"
+        ]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in imported if name not in read]
     assert unused == []

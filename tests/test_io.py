@@ -85,6 +85,13 @@ def test_label_only_before_header():
         ("dim=2 kind=projective field=Q\n0 0 0\n", 2, ""),
         ("dim=2 kind=affine field=Q\n", 1, "no points"),
         ("# nothing here\n", 1, "missing header"),
+        ("dim=3 dim=2 kind=affine field=Q\n1 2\n3 4\n", 1, "repeated header key 'dim'"),
+        # Only \n, \r\n and \r end a line; str.splitlines would also split at these.
+        *[
+            (f"dim=2 kind=affine field=Q\n1 2{sep}3 4\n5 6\n", 2, "expected 2 coordinates")
+            for sep in "\x0c\x0b\x1c\x1d\x1e\x85\u2028\u2029"
+        ],
+        ("dim=2 kind=affine field=Q\r\n1 2\r3 4\r\n5 x\n", 4, "malformed rational"),
     ],
 )
 def test_diagnostics_carry_line_numbers(body, lineno, needle):
