@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from ordlines import (
     DegenerateInputError,
     DomainError,
+    Eisenstein,
     PointSet,
+    W,
     UsageError,
     affine2,
     affine3,
@@ -17,11 +19,13 @@ from ordlines import (
     canon_line,
     concurrent_lines_probe,
     gamma_prime,
+    gen_grid2d,
     gen_hesse,
     gen_random,
     gen_two_skew,
     incident,
     plane_ordinary_profile,
+    projective2,
     verify_almost_coplanar,
     verify_skew_bound,
     verify_sylvester_gallai,
@@ -105,6 +109,45 @@ def test_sylvester_gallai_fails_over_extension():
     report = verify_sylvester_gallai(gen_hesse())
     assert not report.holds
     assert report.witness is None
+
+
+E = Eisenstein
+
+
+@pytest.mark.parametrize(
+    "make, holds, vector",
+    [
+        (lambda: gen_grid2d(12, 12), True, (1, -11, 10)),
+        (gen_hesse, False, None),
+        (lambda: PointSet([affine2(t, 2 * t + 1) for t in range(30)]), True, None),
+        (  # three points at infinity, one of them on the witness
+            lambda: PointSet(
+                [
+                    projective2(1, 0, 0),
+                    projective2(0, 1, 0),
+                    projective2(1, 1, 0),
+                    projective2(0, 0, 1),
+                    projective2(1, 2, 1),
+                    projective2(2, -1, 1),
+                ]
+            ),
+            True,
+            (0, 1, -2),
+        ),
+        (  # three points on y = 0 and one off it: three ordinary lines over Q(w)
+            lambda: PointSet(
+                [affine2(E(0), E(0)), affine2(E(1), E(0)), affine2(W, E(0)), affine2(E(0), W)]
+            ),
+            True,
+            (E(1), E(-1, -1), E(-1)),
+        ),
+    ],
+    ids=["grid12", "hesse", "collinear30", "projective-at-infinity", "qw-affine4"],
+)
+def test_golden_sylvester_gallai(make, holds, vector):
+    report = verify_sylvester_gallai(make())
+    assert report.holds is holds
+    assert (None if report.witness is None else report.witness.vector) == vector
 
 
 def test_sylvester_gallai_pre():

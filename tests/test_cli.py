@@ -250,6 +250,26 @@ def test_constants_text_with_grid_keeps_the_given_alpha(runner):
     assert both[11].startswith("grid: min d_alpha = ")
 
 
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (
+            ["--alpha", "2/27", "--beta", "2/3", "--gamma", "1/9", "--json"],
+            "f9a4ffa7d9bfb406c1fc37dbe983708e6254d589c92c742d79956591a076043a",
+        ),
+        (
+            ["--alpha", "1/2", "--beta", "2/3", "--gamma", "1/9", "--grid", "--json"],
+            "8708774ed9a238e3e77002bb928ebbb1604c062d8a2bc4efb32979269d049085",
+        ),
+    ],
+    ids=["alpha0", "half-with-grid"],
+)
+def test_golden_constants_json(runner, args, digest):
+    result = runner.invoke(main, ["constants", *args])
+    assert result.exit_code == 0, _everything(result)
+    assert hashlib.sha256(result.stdout.encode("utf-8")).hexdigest() == digest
+
+
 def test_boroczky_text_matches_readme(runner):
     result = runner.invoke(main, ["boroczky", "--m", "8"])
     assert result.exit_code == 0
