@@ -15,6 +15,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import DomainError, UsageError
+from .fields import _to_fraction
 from .geometry import (
     CanonLine2,
     CanonLine3,
@@ -22,6 +23,7 @@ from .geometry import (
     Point,
     _plucker_incident,
     canon_line,
+    collinear,
     direction_row,
     incident,
     skew,
@@ -30,8 +32,6 @@ from .incidence import (
     PointSet,
     _breaks_cap,
     _line_histogram,
-    _pair_counts,
-    _pair_keys,
     _plane_groups,
     ordinary_lines,
     plane_summary,
@@ -97,7 +97,7 @@ def bound_constants(alpha, beta, gamma) -> BoundConstants:
     alpha is the heaviest-plane fraction, beta the max line fraction assumed by
     the planar line-count theorem, gamma its line-count constant.
     """
-    alpha, beta, gamma = Fraction(alpha), Fraction(beta), Fraction(gamma)
+    alpha, beta, gamma = map(_to_fraction, (alpha, beta, gamma))
     for name, v in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
         if not 0 < v < 1:
             raise UsageError(f"{name} = {v} is outside (0, 1)")
@@ -154,16 +154,11 @@ def verify_sylvester_gallai(P: PointSet) -> SylvesterGallaiReport:
         raise UsageError("verify_sylvester_gallai needs a planar set")
     if len(P) < 3:
         raise UsageError("verify_sylvester_gallai needs at least 3 points")
-    pairs = _pair_counts(*_pair_keys(P, lines=True))
-    if len(pairs) == 1:  # one line holds every point
-        return SylvesterGallaiReport(holds=True, witness=None)
-    ordinary = [key for key, count in pairs.items() if count == 1]
-    if not ordinary:
-        return SylvesterGallaiReport(holds=False, witness=None)
-    # The witness is the first line of ``ordinary_lines``: the least key.
-    if P.field_name != "Q":  # the Qw path's keys are lines already
-        return SylvesterGallaiReport(holds=True, witness=min(ordinary, key=CanonLine2.sort_key))
-    return SylvesterGallaiReport(holds=True, witness=CanonLine2(min(ordinary)))
+    lines = ordinary_lines(P)
+    if lines:
+        return SylvesterGallaiReport(holds=True, witness=lines[0])
+    # With no ordinary line the guarantee holds only vacuously: one line holds P.
+    return SylvesterGallaiReport(holds=all(collinear(P[0], P[1], p) for p in P), witness=None)
 
 
 @dataclass

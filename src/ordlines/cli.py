@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
 
 import click
@@ -58,7 +59,7 @@ def _rat(text: str, name: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise click.ClickException(f"--{name} expects a rational like 2/3, got {text!r}") from exc
+        raise UsageError(f"--{name} expects a rational like 2/3, got {text!r}") from exc
 
 
 def _jrat(x: Fraction) -> dict:
@@ -356,21 +357,12 @@ def constants(ctx, alpha, beta, gamma, grid, as_json):
     payload: dict = {"beta": _jrat(b), "gamma": _jrat(g)}
     if alpha is not None:
         at = bound_constants(_rat(alpha, "alpha"), b, g)
+        # Every field but the parameters echoed above and the intermediate
+        # fractions beta1_*, in declared order.
         payload["at_alpha"] = {
-            name: _jrat(getattr(at, name))
-            for name in (
-                "alpha",
-                "alpha0",
-                "c_alpha0",
-                "mu",
-                "nu",
-                "gamma_prime_case1",
-                "gamma_prime_case2b",
-                "d_case1",
-                "d_case2a",
-                "d_case2b",
-                "d_alpha",
-            )
+            f.name: _jrat(getattr(at, f.name))
+            for f in fields(at)
+            if f.name not in payload and not f.name.startswith("beta1_")
         }
     violations = []
     if grid:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb, floor, gcd
 
 from .errors import GenerationError, InvariantViolationError, UsageError
-from .fields import Eisenstein, W
+from .fields import Eisenstein, W, _to_fraction
 from .geometry import Point, affine2, affine3, projective2
 from .incidence import PointSet, _breaks_cap
 
@@ -116,7 +116,7 @@ def gen_coplanar_heavy(n: int, alpha: Fraction, seed: int = 0) -> PointSet:
     the plane (z shifted by 60, so never on it), ordered by (z, x, y);
     regenerates until the heaviest-plane count lands exactly.
     """
-    alpha = Fraction(alpha)
+    alpha = _to_fraction(alpha)
     m = floor(alpha * n)
     if not 3 <= m <= n:
         raise UsageError(f"floor(alpha*n) = {m} must be between 3 and n = {n}")

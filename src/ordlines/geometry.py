@@ -4,8 +4,9 @@ Everything here is pure and exact. Points are immutable; predicates are
 determinant sign-free zero tests, so they work over the rationals and over the
 extension field alike. Canonical representatives (``CanonLine2``,
 ``CanonLine3``, ``CanonPlane``) exist so that equal geometric objects compare
-and hash equal, which is what lets the incidence module group point pairs into
-spanned lines with a dictionary.
+and hash equal. The incidence kernels do not build them per pair: they key bare
+integer tuples through the row forms (``cross_row``, ``plucker_row``,
+``direction_row``, ``direction2_row``) and wrap only the keys they return.
 
 Normalization conventions:
 
@@ -167,7 +168,9 @@ def coplanar(p: Point, q: Point, r: Point, s: Point) -> bool:
 #
 # Rational points are cleared to integer homogeneous tuples once, after which
 # every canonical key is a handful of int multiplications plus one gcd. The
-# incidence and search modules lean on these helpers heavily.
+# incidence kernels and the annealer key whole rows (the row forms below). The
+# pair forms and ``primitive_signed`` serve ``canon_line`` and ``canon_plane``,
+# one object at a time, and are reference code for the tests and ``bench/``.
 
 
 def int_hom(p: Point) -> tuple[int, ...]:

@@ -87,7 +87,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PointSet:
-    """A nonempty tuple of pairwise distinct points, all of one kind and field."""
+    """A nonempty tuple of pairwise distinct points, all of one kind and field.
+
+    The label is one line of text with no whitespace at either end, so that a
+    point-set file carries it unchanged."""
 
     points: tuple[Point, ...]
     label: str = ""
@@ -99,6 +102,8 @@ class PointSet:
         _require_same(pts, tuple(Kind), "point set")
         if len(set(pts)) != len(pts):
             raise UsageError("point set has duplicate points")
+        if not isinstance(label, str) or "\n" in label or "\r" in label or label != label.strip():
+            raise UsageError(f"label {label!r} is not one line without edge whitespace")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "label", label)
 

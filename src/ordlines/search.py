@@ -47,6 +47,7 @@ from math import floor, gcd
 from .analysis import plane_ordinary_profile
 from .constructions import RETRY_LIMIT, _random_points, _rng
 from .errors import DegenerateInputError, GenerationError, InvariantViolationError, UsageError
+from .fields import _to_fraction
 from .geometry import Kind, Point, affine3, plucker_row
 from .incidence import PointSet, _breaks_cap, _some_plane_holds, span_summary
 
@@ -111,8 +112,7 @@ class SearchConfig:
     def __post_init__(self):
         if self.n < 4:
             raise UsageError("search needs n >= 4")
-        alpha = Fraction(self.alpha)
-        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "alpha", _to_fraction(self.alpha))
         if self.cap < 3:
             raise UsageError(f"cap floor(alpha*n) = {self.cap} below 3 is infeasible")
         if self.iterations < 0:

@@ -85,6 +85,17 @@ def test_constants_reject_out_of_range(bad, slot):
         bound_constants(*args)
 
 
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_constants_take_exact_inputs_only(slot):
+    exact = [Fraction(1, 10), BETA, GAMMA]
+    args = list(exact)
+    args[slot] = float(exact[slot])
+    with pytest.raises(TypeError, match="exact rational"):
+        bound_constants(*args)
+    args[slot] = str(exact[slot])
+    assert bound_constants(*args) == bound_constants(*exact)
+
+
 def test_gamma_prime_takes_the_binding_branch():
     # large beta1: the (1 - beta1)^2 branch wins
     assert gamma_prime(BETA, GAMMA, Fraction(9, 10)) == Fraction(1, 900)

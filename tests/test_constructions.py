@@ -221,6 +221,13 @@ def test_golden_coplanar_heavy(seed, digest):
     assert _sha256_of(gen_coplanar_heavy(60, Fraction(1, 2), seed)) == digest
 
 
+def test_coplanar_heavy_alpha_is_exact():
+    with pytest.raises(TypeError, match="exact rational"):
+        gen_coplanar_heavy(12, 0.5)
+    assert gen_coplanar_heavy(12, "1/2") == gen_coplanar_heavy(12, Fraction(1, 2))
+    assert gen_coplanar_heavy(4, 1) == gen_coplanar_heavy(4, Fraction(1))
+
+
 @pytest.mark.parametrize(
     "n, alpha, digest",
     [

@@ -1,7 +1,8 @@
 """The package exports a pinned set of public names, no two modules export the
 same name, every name a module exports through ``__all__`` resolves, every
 private module-level name of the package is used somewhere in it, and every
-name a module imports is used in that module."""
+name a module imports is used in that module. Only the CLI group turns errors
+into ``click.ClickException``."""
 
 import ast
 import importlib
@@ -124,3 +125,24 @@ def test_every_imported_name_is_used():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in imported if name not in read]
     assert unused == []
+
+
+def _raises_by_scope(node, scope: str):
+    """(dotted scope, raised expression) for every ``raise`` under node."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = f"{scope}.{child.name}"
+        if isinstance(child, ast.Raise) and child.exc is not None:
+            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+            yield inner, ast.unparse(exc)
+        yield from _raises_by_scope(child, inner)
+
+
+def test_only_the_cli_group_raises_click_exceptions():
+    # Commands and helpers raise the package's own errors; ``_Main.invoke``
+    # alone turns them into "Error: ..." and exit status 1.
+    path = Path(ordlines.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    raising = [scope for scope, exc in _raises_by_scope(tree, "cli") if exc.endswith("ClickException")]
+    assert raising == ["cli._Main.invoke"]

@@ -10,12 +10,16 @@ from ordlines import (
     Eisenstein,
     ParseError,
     PointSet,
+    SearchConfig,
     UsageError,
     affine2,
+    gen_coplanar_heavy,
     gen_grid2d,
     gen_hesse,
+    gen_near_coplanar,
     gen_random,
     gen_two_skew,
+    minimize_ordinary,
     parse_pointset,
     read_pointset_file,
     write_pointset,
@@ -35,6 +39,31 @@ def test_write_parse_write_is_byte_identical():
         assert Q.points == P.points
         assert Q.label == P.label
         assert write_pointset(Q) == text
+
+
+@pytest.mark.parametrize("label", ["a\nb", "a\rb", "  pad  ", "pad ", 3])
+def test_labels_that_cannot_round_trip_are_refused(label):
+    # The file holds the label on one line after "# label: ", and the parser
+    # strips each line, so such a label would be refused or read back changed.
+    with pytest.raises(UsageError, match="label"):
+        PointSet([affine2(1, 2), affine2(3, 4)], label=label)
+
+
+def test_generated_labels_round_trip():
+    sets = [
+        gen_two_skew(3),
+        gen_near_coplanar(10, 2, 0),
+        gen_coplanar_heavy(10, Fraction(1, 2)),
+        gen_random(5, 2),
+        gen_random(5, 3),
+        gen_grid2d(3, 4),
+        gen_hesse(),
+        minimize_ordinary(SearchConfig(n=6, alpha=Fraction(1), iterations=0)).best,
+        PointSet([affine2(1, 2)], label="two words\tand a tab"),
+    ]
+    for P in sets:
+        assert P.label
+        assert parse_pointset(write_pointset(P)).label == P.label
 
 
 def test_extension_field_tokens():

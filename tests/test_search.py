@@ -48,6 +48,15 @@ from ordlines.search import (
 from conftest import big_vec, naive_plane_sets, small_int
 
 
+def test_config_alpha_is_exact():
+    # A float is refused as a coordinate is, not read as its binary value.
+    with pytest.raises(TypeError, match="exact rational"):
+        SearchConfig(n=10, alpha=0.3, iterations=0)
+    for alpha in (Fraction(3, 10), "3/10"):
+        assert SearchConfig(n=10, alpha=alpha, iterations=0).alpha == Fraction(3, 10)
+    assert SearchConfig(n=10, alpha=1, iterations=0).cap == 10
+
+
 def test_config_validation():
     with pytest.raises(UsageError):
         SearchConfig(n=3, alpha=Fraction(1), iterations=0)
