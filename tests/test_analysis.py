@@ -19,8 +19,10 @@ from ordlines import (
     canon_line,
     concurrent_lines_probe,
     gamma_prime,
+    gen_coplanar_heavy,
     gen_grid2d,
     gen_hesse,
+    gen_near_coplanar,
     gen_random,
     gen_two_skew,
     incident,
@@ -237,6 +239,27 @@ def test_almost_coplanar_rejects_k_above_n_before_the_plane_check():
         assert str(err.value) == (
             f"plane (0, 1, -10, 0) contains 11 points, more than n - k = {20 - k}"
         )
+
+
+_OFFENDERS = {
+    "heavy-30": (lambda: gen_coplanar_heavy(30, Fraction(1, 2), 0), (16, 27, 30), (0, 0, 1, 0), 15),
+    "near-20": (lambda: gen_near_coplanar(20, 3, 1), (4, 17, 20), (0, 0, 1, 0), 17),
+    # Several 5-point planes tie here, so the tie rule is pinned too.
+    "random-12": (lambda: gen_random(12, 3, 2, 1), (8, 9, 12), (1, 0, 0, -1), 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OFFENDERS))
+def test_almost_coplanar_offender_is_pinned(name):
+    """The offender is the heaviest plane, ties broken by the least key."""
+    make, ks, vector, points = _OFFENDERS[name]
+    P = make()
+    for k in ks:
+        with pytest.raises(UsageError) as err:
+            verify_almost_coplanar(P, k)
+        assert str(err.value) == (
+            f"plane {vector} contains {points} points, more than n - k = {len(P) - k}"
+        ), k
 
 
 def test_almost_coplanar_usage_errors_name_plane_summary():
