@@ -34,7 +34,6 @@ from .incidence import (
     _line_histogram,
     _plane_groups,
     ordinary_lines,
-    plane_summary,
     span_summary,
 )
 
@@ -203,11 +202,11 @@ def verify_almost_coplanar(P: PointSet, k: int) -> AlmostCoplanarReport:
     if k > n:
         raise UsageError(f"k must be at most n = {n}")
     if _breaks_cap(P, n - k, "plane_summary"):
-        summary = plane_summary(P)
-        offender = max(summary.plane_counts, key=summary.plane_counts.get)
+        # The heaviest of the planes over n - k, ties broken by the least key.
+        over = _plane_groups(P, n - k + 1)
+        offender = min(over, key=lambda key: (-len(over[key]), key))
         raise UsageError(
-            f"plane {offender.vector} contains {summary.plane_counts[offender]} points, "
-            f"more than n - k = {n - k}"
+            f"plane {offender} contains {len(over[offender])} points, more than n - k = {n - k}"
         )
     bound = (k + Fraction(1, 2)) * (n - k) - comb(k, 2)
     count = span_summary(P).ordinary
@@ -240,9 +239,9 @@ def concurrent_lines_probe(P: PointSet, apex: Point) -> ConcurrentProbeReport:
     return ConcurrentProbeReport(contained_in=len(pencil), ordinary_avoiding_apex=avoiding)
 
 
-def plane_ordinary_profile(P: PointSet, min_points: int = 4) -> list[tuple[int, int]]:
-    """For each spanned plane with at least min_points points, pair its point count
-    with the ordinary count of that coplanar subset taken on its own.
+def plane_ordinary_profile(P: PointSet) -> list[tuple[int, int]]:
+    """For each spanned plane with at least 4 points, pair its point count with
+    the ordinary count of that coplanar subset taken on its own.
 
     Output is data for the open question whether some heavy plane's subset
     spans close to half its size in ordinary lines; nothing is asserted.
@@ -252,7 +251,7 @@ def plane_ordinary_profile(P: PointSet, min_points: int = 4) -> list[tuple[int, 
     homs = P.homs
     profile = [
         (len(members), _line_histogram([homs[i] for i in members], direction_row).ordinary)
-        for members in _plane_groups(P, min_points).values()
+        for members in _plane_groups(P, 4).values()
     ]
     profile.sort(key=lambda entry: (-entry[0], entry[1]))
     return profile

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-__all__ = ["Eisenstein", "W", "Scalar", "as_scalar", "format_eisenstein"]
+__all__ = ["Eisenstein", "W", "Scalar", "as_scalar"]
 
 
 def _to_fraction(value) -> Fraction:
@@ -131,7 +131,9 @@ class Eisenstein:
         return f"Eisenstein({self.a!r}, {self.b!r})"
 
     def __str__(self):
-        return format_eisenstein(self)
+        if self.b >= 0:
+            return f"{self.a}+{self.b}*w"
+        return f"{self.a}-{-self.b}*w"
 
 
 #: The generator of the extension: w*w == -w - 1, w**3 == 1.
@@ -145,13 +147,6 @@ def as_scalar(value) -> Scalar:
     if isinstance(value, Eisenstein):
         return value
     return _to_fraction(value)
-
-
-def format_eisenstein(x: Eisenstein) -> str:
-    """Render as ``a+b*w`` / ``a-b*w`` with both rational parts always present."""
-    if x.b >= 0:
-        return f"{x.a}+{x.b}*w"
-    return f"{x.a}-{-x.b}*w"
 
 
 def scalar_sort_key(x: Scalar) -> tuple:

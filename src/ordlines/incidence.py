@@ -49,7 +49,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from math import comb, gcd
-from operator import itemgetter
 
 from .errors import DegenerateInputError, InvariantViolationError, UsageError
 from .geometry import (
@@ -256,11 +255,12 @@ def ordinary_lines(P: PointSet) -> list[CanonLine2 | CanonLine3]:
 
 
 def max_coplanar(P: PointSet) -> int:
-    """The most points of a 3D set on one spanned plane, as the heaviest plane of
-    each anchor with the later points: a plane is complete at its first point."""
-    return max(
-        _heaviest_of_classes(list(classes), list(map(len, classes.values())))
+    """The most points of a 3D set on one spanned plane: an anchor and its largest
+    bundle of later points (``_bundles``), as a plane is complete at its first point."""
+    return 1 + max(
+        bundle[0]
         for _, classes in _plane_anchors(P, 2, "max_coplanar")
+        for bundle in _bundles(list(classes), list(map(len, classes.values()))).values()
     )
 
 
@@ -337,17 +337,9 @@ def _bundles(dirs: list, sizes: list[int]) -> dict[tuple[int, ...], list[int]]:
     return bundles
 
 
-def _heaviest_of_classes(dirs: list, sizes: list[int]) -> int:
-    """The most points on one plane through an anchor with these direction
-    classes (see ``_bundles``), counting the anchor; 1 when there is only one
-    class."""
-    return 1 + max(map(itemgetter(0), _bundles(dirs, sizes).values()), default=0)
-
-
 def _some_plane_holds(dirs: list, sizes: list[int], m: int) -> bool:
     """Whether some plane through an anchor with these direction classes (see
-    ``_bundles``) holds at least m points besides the anchor, that is
-    ``_heaviest_of_classes(dirs, sizes) - 1 >= m``, pruned by pigeonhole.
+    ``_bundles``) holds at least m points besides the anchor, pruned by pigeonhole.
 
     With N points in the classes, such a plane misses at most slack = N - m of
     them. Take classes, largest first, until the prefix holds slack + s + 2

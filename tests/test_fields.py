@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordlines import Eisenstein, W, as_scalar, format_eisenstein
+from ordlines import Eisenstein, W, as_scalar
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
 eisensteins = st.builds(Eisenstein, rationals, rationals)
@@ -63,9 +63,9 @@ def test_as_scalar_coercion():
 
 
 def test_format_round_names():
-    assert format_eisenstein(Eisenstein(1, 2)) == "1+2*w"
-    assert format_eisenstein(Eisenstein(Fraction(1, 2), Fraction(-3, 4))) == "1/2-3/4*w"
-    assert format_eisenstein(Eisenstein(0, 0)) == "0+0*w"
+    assert str(Eisenstein(1, 2)) == "1+2*w"
+    assert str(Eisenstein(Fraction(1, 2), Fraction(-3, 4))) == "1/2-3/4*w"
+    assert str(Eisenstein(0, 0)) == "0+0*w"
 
 
 @settings(max_examples=500)

@@ -262,20 +262,20 @@ def test_plane_kernel_matches_naive_oracle(P):
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(planted_sets(), st.integers(min_value=3, max_value=6))
-def test_plane_profile_matches_naive_oracle(P, min_points):
+@given(planted_sets())
+def test_plane_profile_matches_naive_oracle(P):
     naive = naive_plane_sets(P)
     if not naive:
         with pytest.raises(DegenerateInputError):
-            plane_ordinary_profile(P, min_points)
+            plane_ordinary_profile(P)
         return
     expected = [
         (len(plane), naive_span(PointSet([P[i] for i in sorted(plane)])).get(2, 0))
         for plane in naive
-        if len(plane) >= min_points
+        if len(plane) >= 4
     ]
     expected.sort(key=lambda entry: (-entry[0], entry[1]))
-    assert plane_ordinary_profile(P, min_points) == expected
+    assert plane_ordinary_profile(P) == expected
 
 
 @settings(max_examples=15, deadline=None)
