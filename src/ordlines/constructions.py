@@ -43,10 +43,12 @@ def _rand_fraction(rng: random.Random, bound: int) -> Fraction:
 
 def _random_points(rng: random.Random, n: int, dim: int, bound: int) -> list[Point]:
     """n distinct affine points of dimension dim (2 or 3) with coordinates drawn
-    by ``_rand_fraction``, sorted. Refused before any draw when fewer than n such
-    points exist. A coordinate takes the values 0 and ±a/b for coprime
-    1 <= a, b <= bound; those include the 2*bound + 1 integers, so the coprime
-    pairs are counted only when n exceeds (2*bound + 1)^dim."""
+    by ``_rand_fraction``, sorted. Refused before any draw when n is not an int
+    or fewer than n such points exist. A coordinate takes the values 0 and ±a/b
+    for coprime 1 <= a, b <= bound; those include the 2*bound + 1 integers, so
+    the coprime pairs are counted only when n exceeds (2*bound + 1)^dim."""
+    if not isinstance(n, int):
+        raise TypeError(f"cannot interpret {n!r} as a number of points")
     if n > (2 * bound + 1) ** dim:
         coprime = sum(gcd(a, b) == 1 for a in range(1, bound + 1) for b in range(1, bound + 1))
         room = (1 + 2 * coprime) ** dim

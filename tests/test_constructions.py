@@ -139,6 +139,14 @@ def test_gen_random_contract():
         gen_random(0, 2)
 
 
+def test_sizes_that_are_not_ints_are_refused():
+    # A draw loop would round 10.5 up to 11 points.
+    with pytest.raises(TypeError, match=r"^cannot interpret 10\.5 as a number of points$"):
+        gen_random(10.5, 2)
+    with pytest.raises(TypeError, match=r"^cannot interpret 5\.5 as a number of points$"):
+        gen_coplanar_heavy(10.5, Fraction(1, 2))  # 5 planar points, then 10.5 - 5 off it
+
+
 def test_seed_validation():
     with pytest.raises(UsageError):
         gen_random(3, 2, seed=-1)

@@ -53,6 +53,12 @@ def test_config_alpha_is_exact():
     assert SearchConfig(n=10, alpha=1, iterations=0).cap == 10
 
 
+def test_search_refuses_a_size_that_is_not_an_int():
+    config = SearchConfig(n=10.5, alpha=Fraction(1, 2), iterations=5)
+    with pytest.raises(TypeError, match=r"^cannot interpret 10\.5 as a number of points$"):
+        minimize_ordinary(config)
+
+
 def test_config_validation():
     with pytest.raises(UsageError):
         SearchConfig(n=3, alpha=Fraction(1), iterations=0)
