@@ -6,7 +6,8 @@ a verifier observes the failure of a guarantee that holds unconditionally over
 the rationals. Merely informational misses (asymptotic thresholds at small n)
 exit zero. Domain errors (``OrdlinesError``) are converted once, where the
 ``main`` group invokes a command, so every command, nested ones included, turns
-them into ``Error: ...`` and exit status 1.
+them into ``Error: ...`` and exit status 1. There too the interpreter's limit on
+integer digits is lifted for the command and restored after it.
 
 JSON output renders every rational as {"exact": "a/b", "approx": float}; the
 approx field is a convenience and never feeds back into any computation.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
@@ -91,10 +93,14 @@ class _Main(click.Group):
     """Turn domain errors into clean diagnostics with exit status 1."""
 
     def invoke(self, ctx):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # read and print numbers of any length
         try:
             return super().invoke(ctx)
         except OrdlinesError as exc:
             raise click.ClickException(str(exc)) from exc
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 @click.group(cls=_Main)

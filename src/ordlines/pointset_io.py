@@ -9,7 +9,9 @@ appears once. Only LF, CR LF and CR end a line; form feed, U+000B,
 U+001C-U+001E, U+0085, U+2028 and U+2029 are whitespace within one.
 
 Writing then parsing reproduces the set exactly, label included, and writing
-is deterministic, so write -> parse -> write is byte-identical.
+is deterministic, so write -> parse -> write is byte-identical. A number past
+the interpreter's digit limit (``sys.get_int_max_str_digits()``) is refused with
+its line number, unless the caller lifts the limit, as the CLI does.
 """
 
 from __future__ import annotations
@@ -38,12 +40,14 @@ _HEADER_OF = {kind: header for header, kind in _HEADERS.items()}
 def _parse_rational(token: str, lineno: int) -> Fraction:
     if not _RAT_RE.match(token):
         raise ParseError(f"malformed rational {token!r}", lineno)
-    if "/" in token:
-        num, den = token.split("/")
-        if int(den) == 0:
-            raise ParseError(f"zero denominator in {token!r}", lineno)
-        return Fraction(int(num), int(den))
-    return Fraction(int(token))
+    num, _, den = token.partition("/")
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError as exc:  # more digits than the interpreter converts
+        raise ParseError(str(exc), lineno) from exc
+    if den == 0:
+        raise ParseError(f"zero denominator in {token!r}", lineno)
+    return Fraction(num, den)
 
 
 def _parse_scalar(token: str, lineno: int, field: str):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import click
@@ -448,6 +449,9 @@ def test_other_errors_are_not_converted(runner, tmp_path, monkeypatch, case):
     assert "Error: boom" not in result.output
 
 
+# A 5,000-digit coordinate: past the interpreter's default integer digit limit.
+_HUGE = "1" + "0" * 4999
+
 _FUZZ_FILES = {
     "empty": "",
     "malformed": "dim=3 kind=affine field=Q\n1 2 3\n1 2 x\n",
@@ -456,6 +460,8 @@ _FUZZ_FILES = {
     "collinear-2d": "dim=2 kind=affine field=Q\n1 0\n2 0\n3 0\n",
     "collinear-3d": "dim=3 kind=affine field=Q\n1 1 1\n2 2 2\n3 3 3\n4 4 4\n",
     "wrong-kind": "dim=2 kind=projective field=Q\n1 0 0\n0 1 0\n0 0 1\n1 1 1\n",
+    "huge-2d": f"dim=2 kind=affine field=Q\n0 0\n{_HUGE} 0\n0 1\n",
+    "huge-3d": f"dim=3 kind=affine field=Q\n0 0 0\n{_HUGE} 0 0\n0 1 0\n0 0 1\n",
 }
 
 _FUZZ_COMMANDS = {
@@ -500,6 +506,40 @@ def test_non_utf8_file_is_a_usage_error(runner, tmp_path, command):
     assert result.exit_code == 1, _everything(result)
     assert isinstance(result.exception, SystemExit)
     assert f"Error: cannot read {path}: 'utf-8' codec can't decode" in _everything(result)
+
+
+def test_numbers_past_the_digit_limit_are_read_and_printed(runner, tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text(_FUZZ_FILES["huge-2d"], encoding="utf-8")
+    result = runner.invoke(main, ["stats", str(path)])
+    assert (result.exit_code, result.output) == (
+        0,
+        "n=3 kind=affine2 field=Q\nspanned lines: 3   ordinary: 3   max collinear: 2\nt: 2:3\n",
+    )
+    # Each coordinate is under the limit; the witness x + b*y + c has b = 10^2450
+    # and c = -10^4850, and the other two lines have larger leading entries.
+    b, y = "1" + "0" * 2450, "1" + "0" * 2400
+    path.write_text(f"dim=2 kind=affine field=Q\n0 {y}\n-{b} {y[:-1]}1\n1 0\n", encoding="utf-8")
+    result = runner.invoke(main, ["verify", "sylvester-gallai", str(path)])
+    assert (result.exit_code, result.output) == (
+        0,
+        f"holds: ordinary line with coefficients (1, {b}, -1{'0' * 4850})\n",
+    )
+
+
+def test_main_restores_the_digit_limit(runner, tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text(_FUZZ_FILES["huge-3d"], encoding="utf-8")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4400)  # under the file's 5,000 digits
+    try:
+        assert runner.invoke(main, ["stats", "--planes", str(path)]).exit_code == 0
+        assert sys.get_int_max_str_digits() == 4400
+        failed = runner.invoke(main, ["project", str(path), "--center", "9"])
+        assert failed.exit_code == 1, _everything(failed)
+        assert sys.get_int_max_str_digits() == 4400
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # --- pinned output --------------------------------------------------------

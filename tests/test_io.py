@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -120,6 +121,18 @@ def test_diagnostics_carry_line_numbers(body, lineno, needle):
     assert excinfo.value.line == lineno
     assert needle in str(excinfo.value)
     assert f"line {lineno}:" in str(excinfo.value)
+
+
+def test_numbers_past_the_digit_limit_are_a_parse_error():
+    text = "dim=2 kind=affine field=Q\n0 0\n1" + "0" * 4999 + " 0\n0 1\n"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the interpreter's default
+    try:
+        with pytest.raises(ParseError, match="^line 3: ") as excinfo:
+            parse_pointset(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert excinfo.value.line == 3
 
 
 def test_file_round_trip(tmp_path):
