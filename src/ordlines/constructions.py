@@ -41,14 +41,20 @@ def _rand_fraction(rng: random.Random, bound: int) -> Fraction:
     return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
 
 
+def _require_count(n) -> None:
+    """Refuse a number of points that is not an int; a bool is not one."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError(f"cannot interpret {n!r} as a number of points")
+
+
 def _random_points(rng: random.Random, n: int, dim: int, bound: int) -> list[Point]:
     """n distinct affine points of dimension dim (2 or 3) with coordinates drawn
     by ``_rand_fraction``, sorted. Refused before any draw when n is not an int
-    or fewer than n such points exist. A coordinate takes the values 0 and ±a/b
-    for coprime 1 <= a, b <= bound; those include the 2*bound + 1 integers, so
-    the coprime pairs are counted only when n exceeds (2*bound + 1)^dim."""
-    if not isinstance(n, int):
-        raise TypeError(f"cannot interpret {n!r} as a number of points")
+    (``_require_count``) or fewer than n such points exist. A coordinate takes
+    the values 0 and ±a/b for coprime 1 <= a, b <= bound; those include the
+    2*bound + 1 integers, so the coprime pairs are counted only when n exceeds
+    (2*bound + 1)^dim."""
+    _require_count(n)
     if n > (2 * bound + 1) ** dim:
         coprime = sum(gcd(a, b) == 1 for a in range(1, bound + 1) for b in range(1, bound + 1))
         room = (1 + 2 * coprime) ** dim

@@ -21,6 +21,18 @@ Python call per pair; ``_pair_keys`` picks it by the kind of set. On an affine
 q - a; whole line keys (``cross_row``, ``plucker_row``) are formed only where
 lines are listed.
 
+The line histogram and the degrees are sums over anchors, so the anchors are
+split into stripes, anchor i going to stripe i mod S; anchor i keys n - 1 - i
+pairs, so the stripes get about equal shares. A stripe returns only its
+class-size Counter or its n-long list of degree shares, and the sum of the
+stripes is what one stripe over every anchor gives, so the histogram's checks
+run on the merged counts unchanged and every count is the same at any S. A set
+of more than ``_POOL_MIN_PAIRS`` pairs runs one stripe per usable CPU in a fork
+pool; a smaller set runs as one stripe in-process and never imports
+``multiprocessing``. Ordinary lines, pair counts and planes are not striped:
+their results are as large as their pair or triple counts, and shipping them
+between processes costs more than keying them.
+
 Planes group pairs of one anchor's direction classes by the normal they span,
 so each group (a bundle) is the anchor's share of one plane, again complete at
 its first anchor, without touching raw triples. A bundle carries the count of its
@@ -44,6 +56,7 @@ counted once.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -82,6 +95,13 @@ __all__ = [
     "project_from",
     "kelly_trace",
 ]
+
+# Above this many pairs the line histogram and the degrees run in worker
+# processes (``_run_stripes``). On a 2-core VM (CPython 3.11) a pool costs about
+# 10-14 ms to start and stop, and keying about 0.45 us per pair, so at this
+# count two workers save about twice what the pool costs; below about 50,000
+# pairs they save nothing.
+_POOL_MIN_PAIRS = 100_000
 
 
 @dataclass(frozen=True)
@@ -213,11 +233,45 @@ def _pair_keys(P: PointSet, lines: bool):
     return P.homs, cross_row
 
 
+def _run_stripes(stripe, items, row) -> list:
+    """``stripe(items, row, s, S)`` for each stripe s < S (see the module
+    docstring). Above ``_POOL_MIN_PAIRS`` pairs the stripes run in a fork pool,
+    one per usable CPU, unless there is only one, fork is unavailable, or the
+    process is a daemon (a pool worker, which may have no children) or runs
+    other threads (which fork does not copy); otherwise the items are one
+    stripe, run in-process. A stripe's exception is raised here, and no worker
+    outlives the call."""
+    n = len(items)
+    if n * (n - 1) // 2 > _POOL_MIN_PAIRS and hasattr(os, "sched_getaffinity"):
+        import multiprocessing
+        import threading
+
+        cpus = len(os.sched_getaffinity(0))
+        if (
+            cpus > 1
+            and "fork" in multiprocessing.get_all_start_methods()
+            and not multiprocessing.current_process().daemon
+            and threading.active_count() == 1
+        ):
+            with multiprocessing.get_context("fork").Pool(cpus) as pool:
+                return pool.starmap(stripe, [(items, row, s, cpus) for s in range(cpus)])
+    return [stripe(items, row, 0, 1)]
+
+
 def _pair_counts(items, row) -> Counter:
     """Count the item pairs on each spanned line's key, with ``row`` a row key as
     ``_pair_keys`` gives it (naming whole lines): C(k, 2) on a k-point line."""
     rows = (row(items[i], items[i + 1 :]) for i in range(len(items) - 1))
     return Counter(chain.from_iterable(rows))
+
+
+def _histogram_stripe(items, row, stripe: int, stripes: int) -> Counter:
+    """The class sizes h (see the module docstring) of the anchors i of the items
+    with i % stripes == stripe, as a Counter of size -> (anchor, class) pairs."""
+    h: Counter = Counter()
+    for i in range(stripe, len(items) - 1, stripes):
+        h.update(Counter(row(items[i], items[i + 1 :])).values())
+    return h
 
 
 def _line_histogram(items, row) -> SpanSummary:
@@ -226,8 +280,8 @@ def _line_histogram(items, row) -> SpanSummary:
     module docstring)."""
     n = len(items)
     h: Counter = Counter()
-    for i in range(n - 1):
-        h.update(Counter(row(items[i], items[i + 1 :])).values())
+    for part in _run_stripes(_histogram_stripe, items, row):
+        h.update(part)
     t = {k: h[k - 1] - h[k] for k in range(2, max(h) + 2) if h[k - 1] != h[k]}
     if min(t.values()) < 0:
         raise InvariantViolationError("class-size histogram increases with size")
@@ -276,14 +330,12 @@ def _breaks_cap(P: PointSet, cap: int, name: str = "max_coplanar") -> bool:
     )
 
 
-def point_degrees(P: PointSet) -> list[int]:
-    """Number of spanned lines through each point, indexed like P."""
-    if len(P) < 2:
-        raise UsageError("point_degrees needs at least 2 points")
-    items, row = _pair_keys(P, lines=False)
+def _degree_stripe(items, row, stripe: int, stripes: int) -> list[int]:
+    """The share of each item's degree that the anchors i with i % stripes ==
+    stripe give it (see the module docstring), as a list indexed like the items."""
     n = len(items)
     degrees = [0] * n
-    for i in range(n - 1):
+    for i in range(stripe, n - 1, stripes):
         keys = row(items[i], items[i + 1 :])
         counts = Counter(keys)
         # Point i starts one class per line on which it is not the last point;
@@ -295,6 +347,13 @@ def point_degrees(P: PointSet) -> list[int]:
             if c == 1:
                 degrees[last[k]] += 1
     return degrees
+
+
+def point_degrees(P: PointSet) -> list[int]:
+    """Number of spanned lines through each point, indexed like P."""
+    if len(P) < 2:
+        raise UsageError("point_degrees needs at least 2 points")
+    return list(map(sum, zip(*_run_stripes(_degree_stripe, *_pair_keys(P, lines=False)))))
 
 
 def _direction_classes(homs, anchor: int, others) -> dict[tuple[int, ...], list[int]]:

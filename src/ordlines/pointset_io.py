@@ -10,8 +10,10 @@ U+001C-U+001E, U+0085, U+2028 and U+2029 are whitespace within one.
 
 Writing then parsing reproduces the set exactly, label included, and writing
 is deterministic, so write -> parse -> write is byte-identical. A number past
-the interpreter's digit limit (``sys.get_int_max_str_digits()``) is refused with
-its line number, unless the caller lifts the limit, as the CLI does.
+the interpreter's digit limit (``sys.get_int_max_str_digits()``) is refused
+unless the caller lifts the limit, as the CLI does: parsing raises a
+``ParseError`` with its line number, and writing a ``UsageError`` that names the
+index of its point.
 """
 
 from __future__ import annotations
@@ -148,8 +150,11 @@ def write_pointset(P: PointSet) -> str:
     if P.label:
         lines.append(f"# label: {P.label}")
     lines.append(f"dim={dim} kind={kind} field={P.field_name}")
-    for p in P:
-        lines.append(" ".join(map(str, p.coords)))
+    for i, p in enumerate(P):
+        try:
+            lines.append(" ".join(map(str, p.coords)))
+        except ValueError as exc:  # more digits than the interpreter converts
+            raise UsageError(f"cannot write point {i}: {exc}") from exc
     return "\n".join(lines) + "\n"
 
 

@@ -45,7 +45,7 @@ from fractions import Fraction
 from math import floor, gcd
 
 from .analysis import plane_ordinary_profile
-from .constructions import RETRY_LIMIT, _random_points, _rng
+from .constructions import RETRY_LIMIT, _random_points, _require_count, _rng
 from .errors import DegenerateInputError, GenerationError, InvariantViolationError, UsageError
 from .fields import _to_fraction
 from .geometry import Kind, Point, affine3, plucker_row
@@ -110,6 +110,7 @@ class SearchConfig:
     initial: PointSet | None = None
 
     def __post_init__(self):
+        _require_count(self.n)
         if self.n < 4:
             raise UsageError("search needs n >= 4")
         object.__setattr__(self, "alpha", _to_fraction(self.alpha))

@@ -145,6 +145,9 @@ def test_sizes_that_are_not_ints_are_refused():
         gen_random(10.5, 2)
     with pytest.raises(TypeError, match=r"^cannot interpret 5\.5 as a number of points$"):
         gen_coplanar_heavy(10.5, Fraction(1, 2))  # 5 planar points, then 10.5 - 5 off it
+    # A bool is an int to isinstance, and True would draw one point.
+    with pytest.raises(TypeError, match=r"^cannot interpret True as a number of points$"):
+        gen_random(True, 2)
 
 
 def test_seed_validation():

@@ -3,7 +3,11 @@ center-avoiding ordinary-line hunt."""
 
 import hashlib
 import json
+import multiprocessing
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -40,7 +44,8 @@ from ordlines import (
     verify_sylvester_gallai,
     write_pointset,
 )
-from ordlines.geometry import CanonPlane, Kind, int_hom, plane_key
+from ordlines import incidence
+from ordlines.geometry import CanonPlane, Kind, direction2_row, int_hom, plane_key
 from ordlines.incidence import _breaks_cap, _pair_counts, _pair_keys, _plane_groups
 from conftest import (
     big_rational,
@@ -447,6 +452,93 @@ def test_ordinary_lines_qw_match_naive_on_hesse_minus_points(removed):
     assert lines == sorted(lines, key=lambda line: line.sort_key())
     ordinary = [sorted(m) for m in naive_line_sets(P) if len(m) == 2]
     assert set(lines) == {canon_line(P[a], P[b]) for a, b in ordinary}
+
+
+# --- the stripes in worker processes -------------------------------------
+
+_PARENT = os.getpid()
+_HISTOGRAM_STRIPE, _DEGREE_STRIPE = incidence._histogram_stripe, incidence._degree_stripe
+
+
+def _histogram_stripe_in_worker(*args):
+    assert os.getpid() != _PARENT, "the histogram stripe ran in-process"
+    return _HISTOGRAM_STRIPE(*args)
+
+
+def _degree_stripe_in_worker(*args):
+    assert os.getpid() != _PARENT, "the degree stripe ran in-process"
+    return _DEGREE_STRIPE(*args)
+
+
+def _row_failing_at_the_last_anchor(anchor, qs):
+    if len(qs) == 1:
+        raise ZeroDivisionError("planted failure")
+    return direction2_row(anchor, qs)
+
+
+def _pooled(mp, call):
+    """``call()`` with every set above the pool threshold and each stripe
+    asserting that it runs in a worker; no worker may outlive the call."""
+    mp.setattr(incidence, "_POOL_MIN_PAIRS", 0)
+    mp.setattr(incidence, "_histogram_stripe", _histogram_stripe_in_worker)
+    mp.setattr(incidence, "_degree_stripe", _degree_stripe_in_worker)
+    try:
+        return call()
+    finally:
+        assert multiprocessing.active_children() == []
+
+
+def _assert_pool_matches_in_process_and_naive(P):
+    s, degrees = span_summary(P), point_degrees(P)
+    with pytest.MonkeyPatch.context() as mp:
+        assert _pooled(mp, lambda: span_summary(P)) == s
+        assert _pooled(mp, lambda: point_degrees(P)) == degrees
+    naive = naive_line_sets(P)
+    assert s.t == naive_span(P)
+    assert degrees == [sum(i in members for members in naive) for i in range(len(P))]
+
+
+@pytest.mark.parametrize("sets", [
+    planted_sets(),
+    planted_plane_sets().filter(lambda P: len(P) >= 2),
+    planted_plane_sets(projective=True),
+], ids=["affine-3d", "affine-2d", "projective"])
+@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_pool_path_matches_in_process_and_naive_oracle(sets, data):
+    _assert_pool_matches_in_process_and_naive(data.draw(sets))
+
+
+@pytest.mark.parametrize("removed", [(), (4,), (2, 7)])
+def test_pool_path_matches_in_process_and_naive_oracle_qw(removed):
+    H = gen_hesse()
+    _assert_pool_matches_in_process_and_naive(PointSet([p for i, p in enumerate(H) if i not in removed]))
+
+
+@pytest.mark.parametrize("kernel", [span_summary, point_degrees])
+def test_pool_path_reraises_a_stripe_failure_and_leaves_no_worker(kernel, monkeypatch):
+    P = gen_random(12, 2, seed=4)
+    monkeypatch.setattr(incidence, "direction2_row", _row_failing_at_the_last_anchor)
+    with pytest.raises(ZeroDivisionError, match="planted failure"):
+        kernel(P)
+    with pytest.raises(ZeroDivisionError, match="planted failure"):
+        _pooled(monkeypatch, lambda: kernel(P))
+    assert multiprocessing.active_children() == []
+
+
+def test_small_sets_never_import_multiprocessing():
+    # The CLI's start-up and the annealer's recounts (n <= 50) stay in-process.
+    code = (
+        "import sys, ordlines.cli\n"
+        "from ordlines import gen_random, point_degrees, span_summary\n"
+        "P = gen_random(60, 2, seed=1)\n"
+        "span_summary(P), point_degrees(P)\n"
+        "print('multiprocessing' in sys.modules)\n"
+    )
+    src = str(Path(incidence.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 # --- projection ----------------------------------------------------------

@@ -135,6 +135,17 @@ def test_numbers_past_the_digit_limit_are_a_parse_error():
     assert excinfo.value.line == 3
 
 
+def test_numbers_past_the_digit_limit_are_refused_by_the_writer():
+    P = PointSet([affine2(0, 1), affine2(10**5000, 0), affine2(0, 0)])
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the interpreter's default
+    try:
+        with pytest.raises(UsageError, match="^cannot write point 1: "):
+            write_pointset(P)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_file_round_trip(tmp_path):
     P = gen_random(6, 3, seed=5)
     path = tmp_path / "pts.txt"

@@ -54,9 +54,11 @@ def test_config_alpha_is_exact():
 
 
 def test_search_refuses_a_size_that_is_not_an_int():
-    config = SearchConfig(n=10.5, alpha=Fraction(1, 2), iterations=5)
-    with pytest.raises(TypeError, match=r"^cannot interpret 10\.5 as a number of points$"):
-        minimize_ordinary(config)
+    # The config is refused, not built with cap floor(10.5 / 2) = 5 and refused
+    # by the first draw; True, an int to isinstance, is refused as well.
+    for n in (10.5, True):
+        with pytest.raises(TypeError, match=rf"^cannot interpret {n} as a number of points$"):
+            SearchConfig(n=n, alpha=Fraction(1, 2), iterations=5)
 
 
 def test_config_validation():
