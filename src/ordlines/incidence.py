@@ -236,7 +236,7 @@ def _pair_keys(P: PointSet, lines: bool):
 def _run_stripes(stripe, items, row) -> list:
     """``stripe(items, row, s, S)`` for each stripe s < S (see the module
     docstring). Above ``_POOL_MIN_PAIRS`` pairs the stripes run in a fork pool,
-    one per usable CPU, unless there is only one, fork is unavailable, or the
+    one per usable CPU, unless there is only one CPU, fork is unavailable, or the
     process is a daemon (a pool worker, which may have no children) or runs
     other threads (which fork does not copy); otherwise the items are one
     stripe, run in-process. A stripe's exception is raised here, and no worker

@@ -13,7 +13,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from ordlines import (
@@ -503,7 +503,8 @@ def _assert_pool_matches_in_process_and_naive(P):
     planted_plane_sets().filter(lambda P: len(P) >= 2),
     planted_plane_sets(projective=True),
 ], ids=["affine-3d", "affine-2d", "projective"])
-@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+# No shrinking: each example starts pools, so shrinking a failure took minutes.
+@settings(max_examples=6, deadline=None, phases=[Phase.generate], suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_pool_path_matches_in_process_and_naive_oracle(sets, data):
     _assert_pool_matches_in_process_and_naive(data.draw(sets))
