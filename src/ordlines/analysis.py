@@ -32,6 +32,7 @@ from .incidence import (
     PointSet,
     _breaks_cap,
     _line_histogram,
+    _ordinary_keys,
     _plane_groups,
     ordinary_lines,
     span_summary,
@@ -153,9 +154,9 @@ def verify_sylvester_gallai(P: PointSet) -> SylvesterGallaiReport:
         raise UsageError("verify_sylvester_gallai needs a planar set")
     if len(P) < 3:
         raise UsageError("verify_sylvester_gallai needs at least 3 points")
-    lines = ordinary_lines(P)
-    if lines:
-        return SylvesterGallaiReport(holds=True, witness=lines[0])
+    keys, order, wrap = _ordinary_keys(P)
+    if keys:  # the first line of ordinary_lines(P), and no other line wrapped
+        return SylvesterGallaiReport(holds=True, witness=wrap(min(keys, key=order)))
     # With no ordinary line the guarantee holds only vacuously: one line holds P.
     return SylvesterGallaiReport(holds=all(collinear(P[0], P[1], p) for p in P), witness=None)
 

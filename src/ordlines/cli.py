@@ -7,7 +7,9 @@ the rationals. Merely informational misses (asymptotic thresholds at small n)
 exit zero. Domain errors (``OrdlinesError``) are converted once, where the
 ``main`` group invokes a command, so every command, nested ones included, turns
 them into ``Error: ...`` and exit status 1. There too the interpreter's limit on
-integer digits is lifted for the command and restored after it.
+integer digits is lifted for the command and restored after it. Each command
+imports the library names it uses when it runs, so ``ordlines --help`` loads
+only this module and ``errors``.
 
 JSON output renders every rational as {"exact": "a/b", "approx": float}; the
 approx field is a convenience and never feeds back into any computation.
@@ -15,44 +17,14 @@ approx field is a convenience and never feeds back into any computation.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from collections import Counter
-from dataclasses import fields
 from fractions import Fraction
 
 import click
 
-from .analysis import (
-    bound_constants,
-    concurrent_lines_probe,
-    verify_almost_coplanar,
-    verify_skew_bound,
-    verify_sylvester_gallai,
-)
-from .constructions import (
-    boroczky_model,
-    gen_coplanar_heavy,
-    gen_grid2d,
-    gen_hesse,
-    gen_near_coplanar,
-    gen_random,
-    gen_two_skew,
-)
 from .errors import OrdlinesError, ParseError, UsageError
-from .geometry import CanonLine3, Kind, canon_line, make_point, skew
-from .incidence import (
-    PointSet,
-    _pair_counts,
-    _pair_keys,
-    _plane_groups,
-    kelly_trace,
-    project_from,
-    span_summary,
-)
-from .pointset_io import _parse_scalar, read_pointset_file, write_pointset
-from .search import SearchConfig, minimize_ordinary
 
 CONSTRUCTIONS = ("skew", "near-coplanar", "coplanar-heavy", "random", "grid", "hesse")
 
@@ -70,6 +42,11 @@ def _jrat(x: Fraction) -> dict:
 
 def _approx(x: Fraction) -> str:
     return f"{Fraction(x)} (~{float(x):.6g})"
+
+
+def _echo_json(payload: dict) -> None:
+    import json
+    click.echo(json.dumps(payload, indent=2))
 
 
 def _write_file(path: str, text: str, mode: str = "w") -> None:
@@ -128,7 +105,10 @@ def gen(construction_arg, construction, m, n, k, alpha, seed, bound, dim, output
     name = construction or construction_arg
     if name not in CONSTRUCTIONS:
         raise UsageError(f"pick a construction from {', '.join(CONSTRUCTIONS)}")
-
+    from .constructions import (
+        gen_coplanar_heavy, gen_grid2d, gen_hesse, gen_near_coplanar, gen_random, gen_two_skew,
+    )
+    from .pointset_io import write_pointset
     if name == "skew":
         if m is None:
             raise UsageError("skew needs --m (points per line)")
@@ -162,6 +142,8 @@ def gen(construction_arg, construction, m, n, k, alpha, seed, bound, dim, output
 @click.option("--json", "as_json", is_flag=True)
 def stats(file, planes, as_json):
     """Span summary of a point-set file: line histogram and ordinary count."""
+    from .incidence import _plane_groups, span_summary
+    from .pointset_io import read_pointset_file
     ps = read_pointset_file(file)
     s = span_summary(ps)
     payload = {
@@ -184,7 +166,7 @@ def stats(file, planes, as_json):
             "size_histogram": {str(k): c for k, c in sizes},
         }
     if as_json:
-        click.echo(json.dumps(payload, indent=2))
+        _echo_json(payload)
         return
     head = f"n={s.n} kind={ps.kind.value} field={ps.field_name}"
     if ps.label:
@@ -209,6 +191,8 @@ def stats(file, planes, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def project(file, center, trace, as_json):
     """Project a 3D set from one of its points; report the image structure."""
+    from .incidence import kelly_trace, project_from
+    from .pointset_io import read_pointset_file
     ps = read_pointset_file(file)
     img = project_from(ps, center)
     sizes = sorted((len(idxs) for _, idxs in img.groups), reverse=True)
@@ -225,7 +209,7 @@ def project(file, center, trace, as_json):
         payload["l1_size"] = report.l1_size
         payload["found_ordinary"] = [list(line.plucker) for line in report.found_ordinary]
     if as_json:
-        click.echo(json.dumps(payload, indent=2))
+        _echo_json(payload)
         return
     click.echo(
         f"projected {len(ps)} points from index {center}: "
@@ -254,7 +238,9 @@ def _parse_indices(text: str, n: int, name: str) -> tuple[int, int]:
     return i, j
 
 
-def _heaviest_skew_pair(ps: PointSet):
+def _heaviest_skew_pair(ps):
+    from .geometry import CanonLine3, Kind, skew
+    from .incidence import _pair_counts, _pair_keys
     if ps.kind is not Kind.AFFINE3:
         raise UsageError("skew lines need a 3D affine set")
     pairs = _pair_counts(*_pair_keys(ps, lines=True))
@@ -271,6 +257,8 @@ def _heaviest_skew_pair(ps: PointSet):
 @click.pass_context
 def verify_sg(ctx, file):
     """A non-collinear planar set must span an ordinary line (rational fields)."""
+    from .analysis import verify_sylvester_gallai
+    from .pointset_io import read_pointset_file
     ps = read_pointset_file(file)
     rep = verify_sylvester_gallai(ps)
     if rep.witness is not None:
@@ -291,6 +279,9 @@ def verify_sg(ctx, file):
 @click.pass_context
 def verify_skew(ctx, file, line1, line2):
     """Ordinary count is at least |P on l|*|P on l'| - |P| for skew l, l'."""
+    from .analysis import verify_skew_bound
+    from .geometry import canon_line
+    from .pointset_io import read_pointset_file
     ps = read_pointset_file(file)
     if (line1 is None) != (line2 is None):
         raise UsageError("give both --line1 and --line2, or neither")
@@ -312,6 +303,8 @@ def verify_skew(ctx, file, line1, line2):
 @click.option("--k", type=int, required=True, help="points off the heaviest plane")
 def verify_ac(file, k):
     """Report the ordinary count against the (k+1/2)(n-k) - C(k,2) threshold."""
+    from .analysis import verify_almost_coplanar
+    from .pointset_io import read_pointset_file
     ps = read_pointset_file(file)
     rep = verify_almost_coplanar(ps, k)
     click.echo(f"ordinary: {rep.count}   threshold: {_approx(rep.bound)}   holds: {rep.holds}")
@@ -324,6 +317,9 @@ def verify_ac(file, k):
 @click.pass_context
 def verify_concurrent(ctx, file, apex):
     """Count pencil lines through the apex and ordinary lines avoiding it."""
+    from .analysis import concurrent_lines_probe
+    from .geometry import Kind, make_point
+    from .pointset_io import _parse_scalar, read_pointset_file
     ps = read_pointset_file(file)
     tokens = apex.split(",")
     want = 3 if ps.kind is Kind.PROJECTIVE2 else 2
@@ -357,6 +353,9 @@ def verify_concurrent(ctx, file, apex):
 @click.pass_context
 def constants(ctx, alpha, beta, gamma, grid, as_json):
     """Evaluate the ordinary-line bound constants exactly."""
+    from dataclasses import fields
+
+    from .analysis import bound_constants
     b, g = _rat(beta, "beta"), _rat(gamma, "gamma")
     if alpha is None and not grid:
         raise UsageError("give --alpha, or --grid for a scan")
@@ -389,7 +388,7 @@ def constants(ctx, alpha, beta, gamma, grid, as_json):
             "violations": violations,
         }
     if as_json:
-        click.echo(json.dumps(payload, indent=2))
+        _echo_json(payload)
     else:
         if "at_alpha" in payload:
             for name in payload["at_alpha"]:
@@ -411,20 +410,11 @@ def constants(ctx, alpha, beta, gamma, grid, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def boroczky(m, as_json):
     """Line histogram of the conic-plus-line configuration."""
+    from .constructions import boroczky_model
     s = boroczky_model(m)
     if as_json:
-        click.echo(
-            json.dumps(
-                {
-                    "m": s.m,
-                    "n": s.n,
-                    "ordinary": s.ordinary,
-                    "num_lines": s.num_lines,
-                    "t": {str(k): c for k, c in s.t.items()},
-                },
-                indent=2,
-            )
-        )
+        t = {str(k): c for k, c in s.t.items()}
+        _echo_json({"m": s.m, "n": s.n, "ordinary": s.ordinary, "num_lines": s.num_lines, "t": t})
         return
     click.echo(f"m={s.m} n={s.n} ordinary={s.ordinary} (= n/2)  lines={s.num_lines}")
     click.echo("t: " + " ".join(f"{k}:{c}" for k, c in s.t.items()))
@@ -440,6 +430,10 @@ def boroczky(m, as_json):
 @click.option("-o", "--output", type=click.Path(dir_okay=False), required=True)
 def search(n, alpha, iters, seed, init, bound, output):
     """Anneal toward few ordinary lines under the coplanarity cap."""
+    import json
+
+    from .pointset_io import read_pointset_file, write_pointset
+    from .search import SearchConfig, minimize_ordinary
     initial = read_pointset_file(init) if init else None
     config = SearchConfig(
         n=n,

@@ -343,6 +343,23 @@ def _hom3(p: Point) -> tuple:
 # --- canonical objects ------------------------------------------------------
 
 
+def _digit_limited(cls):
+    """Make ``repr`` (and so ``str``) of cls refuse an integer past the interpreter's
+    digit limit (``sys.get_int_max_str_digits``) with a UsageError that names cls,
+    not a bare ValueError."""
+    dataclass_repr = cls.__repr__
+
+    def __repr__(self):
+        try:
+            return dataclass_repr(self)
+        except ValueError as exc:
+            raise UsageError(f"cannot write {cls.__name__}: {exc}") from exc
+
+    cls.__repr__ = __repr__
+    return cls
+
+
+@_digit_limited
 @dataclass(frozen=True)
 class CanonLine2:
     """Canonical coefficient vector of a plane line: a point lies on the line iff the
@@ -354,6 +371,7 @@ class CanonLine2:
         return tuple(scalar_sort_key(as_scalar(c)) for c in self.vector)
 
 
+@_digit_limited
 @dataclass(frozen=True)
 class CanonLine3:
     """Canonical Plücker 6-vector (p01, p02, p03, p12, p13, p23) of a spatial line.
@@ -374,6 +392,7 @@ class CanonLine3:
         return self.plucker
 
 
+@_digit_limited
 @dataclass(frozen=True)
 class CanonPlane:
     """Canonical coefficient vector (a, b, c, d): a point (x, y, z) lies on the plane

@@ -297,15 +297,23 @@ def span_summary(P: PointSet) -> SpanSummary:
     return _line_histogram(*_pair_keys(P, lines=False))
 
 
+def _ordinary_keys(P: PointSet):
+    """The keys of the lines through exactly two points of P, each once, with the
+    ``key=`` that orders them as their lines' ``sort_key`` does and the function
+    that wraps a key as its line."""
+    keys = [key for key, pairs in _pair_counts(*_pair_keys(P, lines=True)).items() if pairs == 1]
+    if P.field_name != "Q":  # the Qw path's keys are lines already
+        return keys, lambda line: line.sort_key(), lambda line: line
+    # Rational keys are bare integer tuples, which sort as their lines' sort_key does.
+    return keys, None, CanonLine3 if P.kind is Kind.AFFINE3 else CanonLine2
+
+
 def ordinary_lines(P: PointSet) -> list[CanonLine2 | CanonLine3]:
     """The spanned lines containing exactly two points of P, canonically sorted."""
     if len(P) < 2:
         raise UsageError("ordinary_lines needs at least 2 points")
-    out = [key for key, pairs in _pair_counts(*_pair_keys(P, lines=True)).items() if pairs == 1]
-    if P.field_name != "Q":  # the Qw path's keys are lines already
-        return sorted(out, key=lambda line: line.sort_key())
-    # Rational keys are bare integer tuples, which sort as their lines' sort_key does.
-    return list(map(CanonLine3 if P.kind is Kind.AFFINE3 else CanonLine2, sorted(out)))
+    keys, order, wrap = _ordinary_keys(P)
+    return list(map(wrap, sorted(keys, key=order)))
 
 
 def max_coplanar(P: PointSet) -> int:

@@ -9,6 +9,7 @@ import click
 import pytest
 from click.testing import CliRunner
 
+import ordlines
 from ordlines import (
     InvariantViolationError,
     PointSet,
@@ -18,7 +19,6 @@ from ordlines import (
     read_pointset_file,
     write_pointset,
 )
-from ordlines import cli
 from ordlines.cli import main
 from conftest import integer_box
 
@@ -26,6 +26,12 @@ from conftest import integer_box
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+def _defining_module(name: str):
+    """The module that defines the public ``name``. Commands import library names
+    when they run, so a patch there is what they see."""
+    return sys.modules[getattr(ordlines, name).__module__]
 
 
 def _everything(result):
@@ -331,7 +337,7 @@ def test_unwritable_output_is_a_usage_error(runner, tmp_path):
 
 def test_search_checks_its_outputs_before_the_run(runner, tmp_path, monkeypatch):
     runs = []
-    monkeypatch.setattr(cli, "minimize_ordinary", runs.append)
+    monkeypatch.setattr(_defining_module("minimize_ordinary"), "minimize_ordinary", runs.append)
     (tmp_path / "report.txt.json").mkdir()
     search = ["search", "--n", "6", "--alpha", "1", "--iters", "5"]
     for out in (tmp_path / "missing" / "b.txt", tmp_path / "report.txt"):
@@ -350,7 +356,7 @@ def test_search_leaves_no_set_without_its_report(runner, tmp_path, monkeypatch):
         (tmp_path / "b.txt.json").mkdir()
         return result
 
-    monkeypatch.setattr(cli, "minimize_ordinary", run_then_block_the_report)
+    monkeypatch.setattr(_defining_module("minimize_ordinary"), "minimize_ordinary", run_then_block_the_report)
     search = ["search", "--n", "6", "--alpha", "1", "--iters", "5"]
     result = runner.invoke(main, [*search, "-o", str(out)])
     assert result.exit_code == 1, _everything(result)
@@ -371,8 +377,8 @@ def test_random_draws_past_the_bound_are_refused(runner, tmp_path):
 
 
 # --- the error boundary ---------------------------------------------------
-# One library call per leaf command, patched in ordlines.cli to raise. Every
-# leaf of ``main`` needs an entry (test_every_command_has_a_boundary_case).
+# One library call per leaf command, patched in the module that defines it to
+# raise. Every leaf of ``main`` needs an entry (test_every_command_has_a_boundary_case).
 
 _SKEW3 = write_pointset(gen_two_skew(3))
 _GRID2 = "dim=2 kind=affine field=Q\n0 0\n1 0\n0 1\n1 1\n"
@@ -426,7 +432,7 @@ def _invoke_raising(runner, tmp_path, monkeypatch, case, exc):
         raise exc
 
     name, argv = _BOUNDARY_CASES[case]
-    monkeypatch.setattr(cli, name, boom)
+    monkeypatch.setattr(_defining_module(name), name, boom)
     (tmp_path / "skew.txt").write_text(_SKEW3, encoding="utf-8")
     (tmp_path / "grid.txt").write_text(_GRID2, encoding="utf-8")
     paths = {p: str(tmp_path / f"{p}.txt") for p in ("skew", "grid", "out")}

@@ -2,12 +2,16 @@
 same name, every name a module exports through ``__all__`` resolves, every
 private module-level name of the package is used somewhere in it, and every
 name a module imports is used in that module. Only the CLI group turns errors
-into ``click.ClickException``."""
+into ``click.ClickException``. The package and the CLI load a library module
+only when a name of it is used."""
 
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,8 +53,8 @@ def test_package_exports_the_pinned_names():
 
 
 def test_module_export_lists_are_disjoint():
-    # The package star-imports every module, so a name two modules export
-    # would silently resolve to the later one.
+    # The package resolves a name from the first module, in dependency order,
+    # that exports it, so a name two modules export would hide the later one.
     exported = {
         m: set(getattr(importlib.import_module(f"ordlines.{m}"), "__all__", ())) for m in LIBRARY_MODULES
     }
@@ -146,3 +150,70 @@ def test_only_the_cli_group_raises_click_exceptions():
     tree = ast.parse(path.read_text(encoding="utf-8"))
     raising = [scope for scope, exc in _raises_by_scope(tree, "cli") if exc.endswith("ClickException")]
     assert raising == ["cli._Main.invoke"]
+
+
+# --- loading on demand --------------------------------------------------------
+
+_REPORT_LOADED = """
+import sys
+{run}
+print(" ".join(sorted(m for m in sys.modules if m.partition(".")[0] == "ordlines")))
+"""
+
+
+def _fresh(run: str) -> list[str]:
+    """What a fresh interpreter prints when it runs ``run``: its lines, the last
+    one naming the ``ordlines`` modules loaded."""
+    src = str(Path(ordlines.__file__).parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _REPORT_LOADED.format(run=run)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def _loaded_by_command(*args: str) -> list[str]:
+    run = f"""
+from ordlines.cli import main
+try:
+    main({list(args)!r}, prog_name="ordlines")
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+"""
+    return _fresh(run)[-1].split()
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert _fresh("import ordlines") == ["ordlines"]
+
+
+def test_help_loads_only_the_cli_and_the_errors():
+    assert _loaded_by_command("--help") == ["ordlines", "ordlines.cli", "ordlines.errors"]
+
+
+def test_boroczky_loads_neither_analysis_nor_search():
+    loaded = _loaded_by_command("boroczky", "--m", "6")
+    assert "ordlines.constructions" in loaded
+    assert [m for m in ("ordlines.analysis", "ordlines.search") if m in loaded] == []
+
+
+def test_star_import_binds_the_pinned_names():
+    namespace: dict = {}
+    exec("from ordlines import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_NAMES
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        ordlines.no_such_name  # noqa: B018
+
+
+def test_dir_lists_the_exports_the_modules_and_the_package_attributes():
+    dunders = ["__all__", "__builtins__", "__cached__", "__doc__", "__file__", "__loader__"]
+    dunders += ["__name__", "__package__", "__path__", "__spec__", "__version__"]
+    listed = _fresh("import ordlines\nprint(' '.join(dir(ordlines)))")[0].split()
+    assert listed == sorted(PUBLIC_NAMES + LIBRARY_MODULES + dunders)

@@ -1,6 +1,7 @@
 """Predicates and canonical representatives: the exact core everything rests on."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -250,6 +251,27 @@ def test_canon_plane_independent_of_spanning_triple():
                 if not collinear(pts[i], pts[j], pts[k]):
                     keys.add(canon_plane(pts[i], pts[j], pts[k]))
     assert len(keys) == 1
+
+
+@pytest.mark.parametrize(
+    "name, make",
+    [
+        ("CanonLine2", lambda big: canon_line(affine2(big, 0), affine2(0, 1))),
+        ("CanonLine3", lambda big: canon_line(affine3(big, 0, 0), affine3(0, 1, 0))),
+        ("CanonPlane", lambda big: canon_plane(affine3(big, 0, 0), affine3(0, 1, 0), affine3(0, 0, 1))),
+    ],
+)
+def test_canonical_objects_past_the_digit_limit_are_a_usage_error(name, make):
+    obj = make(10**5000)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the interpreter's default
+    try:
+        for text in (str, repr):
+            with pytest.raises(UsageError, match=f"^cannot write {name}: "):
+                text(obj)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert repr(make(10)).startswith(f"{name}(")
 
 
 def test_canon_plane_collinear_triple_rejected():
