@@ -283,6 +283,17 @@ def test_boroczky_text_matches_readme(runner):
     assert result.output.splitlines() == _readme_output("ordlines boroczky --m 8", 2)
 
 
+_BOROCZKY_PINS = json.loads((Path(__file__).parent / "boroczky_pins.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("key", sorted(_BOROCZKY_PINS["stdout"]))
+def test_boroczky_stdout_is_pinned(runner, key):
+    """The exact stdout of ``boroczky --m M`` and ``--m M --json``."""
+    m, mode = key.split("/")
+    result = runner.invoke(main, ["boroczky", "--m", m] + ["--json"] * (mode == "json"))
+    assert (result.exit_code, result.stdout) == (0, _BOROCZKY_PINS["stdout"][key])
+
+
 def test_boroczky_command(runner):
     result = runner.invoke(main, ["boroczky", "--m", "6", "--json"])
     assert result.exit_code == 0

@@ -1,9 +1,11 @@
 """Generators: determinism, advertised counts, and the conic-plus-line model."""
 
 import hashlib
+import json
 from fractions import Fraction
 from itertools import product
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -191,6 +193,17 @@ def test_boroczky_counts_and_identity():
         assert s.t[m] >= 1
         assert sum(comb(k, 2) * c for k, c in s.t.items()) == comb(2 * m, 2)
         assert s.num_lines == 1 + comb(m, 2) + m
+
+
+def test_boroczky_model_is_pinned():
+    """(n, ordinary, num_lines, max collinear, t) for every even m in 4..50."""
+    pins = json.loads((Path(__file__).parent / "boroczky_pins.json").read_text(encoding="utf-8"))
+    assert sorted(map(int, pins["model"])) == list(range(4, 51, 2))
+    for m, (n, ordinary, num_lines, max_collinear, t) in pins["model"].items():
+        s = boroczky_model(int(m))
+        assert (s.n, s.ordinary, s.num_lines, max(s.t)) == (n, ordinary, num_lines, max_collinear)
+        assert s.t == {int(k): c for k, c in t.items()}
+        assert list(s.t) == sorted(s.t)
 
 
 def test_boroczky_rejects_odd_and_small():
