@@ -206,9 +206,12 @@ def verify_almost_coplanar(P: PointSet, k: int) -> AlmostCoplanarReport:
         # The heaviest of the planes over n - k, ties broken by the least key.
         over = _plane_groups(P, n - k + 1)
         offender = min(over, key=lambda key: (-len(over[key]), key))
-        raise UsageError(
-            f"plane {offender} contains {len(over[offender])} points, more than n - k = {n - k}"
-        )
+        excess = f"{len(over[offender])} points, more than n - k = {n - k}"
+        try:
+            plane = f"plane {offender}"
+        except ValueError as exc:  # a key past the interpreter's digit limit
+            raise UsageError(f"cannot write the plane with {excess}: {exc}") from exc
+        raise UsageError(f"{plane} contains {excess}")
     bound = (k + Fraction(1, 2)) * (n - k) - comb(k, 2)
     count = span_summary(P).ordinary
     return AlmostCoplanarReport(
@@ -226,11 +229,15 @@ class ConcurrentProbeReport:
     ordinary_avoiding_apex: int
 
 
+def _require_planar(P: PointSet) -> None:
+    if P.kind not in (Kind.AFFINE2, Kind.PROJECTIVE2):
+        raise UsageError("concurrent_lines_probe needs a planar set")
+
+
 def concurrent_lines_probe(P: PointSet, apex: Point) -> ConcurrentProbeReport:
     """For a planar set covered by few lines through a common apex, count how many
     such lines are needed and how many ordinary lines of P avoid the apex."""
-    if P.kind not in (Kind.AFFINE2, Kind.PROJECTIVE2):
-        raise UsageError("concurrent_lines_probe needs a planar set")
+    _require_planar(P)
     if apex.kind is not P.kind or apex.field_name != P.field_name:
         raise UsageError("apex must match the set's kind and field")
     pencil = {canon_line(apex, p) for p in P if p != apex}

@@ -317,12 +317,13 @@ def verify_ac(file, k):
 @click.pass_context
 def verify_concurrent(ctx, file, apex):
     """Count pencil lines through the apex and ordinary lines avoiding it."""
-    from .analysis import concurrent_lines_probe
-    from .geometry import Kind, make_point
+    from .analysis import _require_planar, concurrent_lines_probe
+    from .geometry import _COORD_COUNT, make_point
     from .pointset_io import _parse_scalar, read_pointset_file
     ps = read_pointset_file(file)
+    _require_planar(ps)  # before --apex, whose coordinate count depends on it
     tokens = apex.split(",")
-    want = 3 if ps.kind is Kind.PROJECTIVE2 else 2
+    want = _COORD_COUNT[ps.kind]
     if len(tokens) != want:
         raise UsageError(f"--apex needs {want} coordinates for a {ps.kind.value} set")
     try:
@@ -414,9 +415,9 @@ def boroczky(m, as_json):
     s = boroczky_model(m)
     if as_json:
         t = {str(k): c for k, c in s.t.items()}
-        _echo_json({"m": s.m, "n": s.n, "ordinary": s.ordinary, "num_lines": s.num_lines, "t": t})
+        _echo_json({"m": m, "n": s.n, "ordinary": s.ordinary, "num_lines": s.num_lines, "t": t})
         return
-    click.echo(f"m={s.m} n={s.n} ordinary={s.ordinary} (= n/2)  lines={s.num_lines}")
+    click.echo(f"m={m} n={s.n} ordinary={s.ordinary} (= n/2)  lines={s.num_lines}")
     click.echo("t: " + " ".join(f"{k}:{c}" for k, c in s.t.items()))
 
 

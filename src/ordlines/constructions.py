@@ -1,4 +1,6 @@
-"""Generators for the named configurations and seeded random sets.
+"""Generators for the named configurations and seeded random sets, and the
+conic-plus-line model, whose line histogram is a ``SpanSummary`` as a point
+set's is.
 
 Deterministic: the same parameters and seed always produce the identical point
 set, point for point and in the same order. Seeds are 64-bit unsigned
@@ -8,17 +10,17 @@ integers fed to the standard Mersenne Twister.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import comb, floor, gcd
 
 from .errors import GenerationError, InvariantViolationError, UsageError
 from .fields import Eisenstein, W, _to_fraction
 from .geometry import Point, affine2, affine3, projective2
-from .incidence import PointSet, _breaks_cap
+from .incidence import PointSet, SpanSummary, _breaks_cap
 
 __all__ = [
-    "BoroczkyModelSummary",
     "gen_two_skew",
     "gen_near_coplanar",
     "gen_coplanar_heavy",
@@ -185,21 +187,7 @@ def gen_grid2d(a: int, b: int) -> PointSet:
     return PointSet(pts, label=f"grid-{a}x{b}")
 
 
-@dataclass
-class BoroczkyModelSummary:
-    """Line histogram of the conic-plus-line configuration with m points on each."""
-
-    m: int
-    n: int
-    ordinary: int
-    t: dict[int, int]
-
-    @property
-    def num_lines(self) -> int:
-        return sum(self.t.values())
-
-
-def boroczky_model(m: int) -> BoroczkyModelSummary:
+def boroczky_model(m: int) -> SpanSummary:
     """Count the lines of the conic-plus-line configuration by its incidence rules.
 
     m conic points C_j and m line points D_i (indices mod m), with the lines:
@@ -211,7 +199,9 @@ def boroczky_model(m: int) -> BoroczkyModelSummary:
 
     The histogram is computed by enumerating these lines, and the rules are
     re-validated on every call: each pair of model points must lie on exactly
-    one line. Ordinary lines are the m tangents, so the count is n/2.
+    one line. Ordinary lines are the m tangents, so the count is n/2. The result
+    is the ``SpanSummary`` that ``span_summary`` gives for a point set, with n = 2m
+    and max_collinear = m, the line at infinity.
     """
     if m % 2 != 0 or m < 4:
         raise UsageError("boroczky_model needs an even m >= 4")
@@ -225,17 +215,9 @@ def boroczky_model(m: int) -> BoroczkyModelSummary:
     for j in range(m):
         lines.append(frozenset({conic[j], infty[(2 * j + half) % m]}))
 
-    pair_cover: dict[frozenset, int] = {}
-    for line in lines:
-        pts = sorted(line)
-        for a in range(len(pts) - 1):
-            for b in range(a + 1, len(pts)):
-                key = frozenset({pts[a], pts[b]})
-                pair_cover[key] = pair_cover.get(key, 0) + 1
+    pair_cover = Counter(pair for line in lines for pair in combinations(sorted(line), 2))
     if len(pair_cover) != comb(2 * m, 2) or any(c != 1 for c in pair_cover.values()):
         raise InvariantViolationError("model lines do not cover each point pair exactly once")
 
-    t: dict[int, int] = {}
-    for line in lines:
-        t[len(line)] = t.get(len(line), 0) + 1
-    return BoroczkyModelSummary(m=m, n=2 * m, ordinary=t.get(2, 0), t=dict(sorted(t.items())))
+    t = dict(sorted(Counter(map(len, lines)).items()))
+    return SpanSummary(t=t, num_lines=len(lines), ordinary=t[2], max_collinear=m, n=2 * m)

@@ -41,3 +41,23 @@ class ParseError(OrdlinesError, ValueError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+def _digit_limited(cls):
+    """Make ``repr`` of cls, and its own ``str`` where it defines one, refuse an
+    integer past the interpreter's digit limit (``sys.get_int_max_str_digits``)
+    with a UsageError that names cls, not a bare ValueError."""
+
+    def limited(method):
+        def text(self):
+            try:
+                return method(self)
+            except ValueError as exc:
+                raise UsageError(f"cannot write {cls.__name__}: {exc}") from exc
+
+        return text
+
+    cls.__repr__ = limited(cls.__repr__)
+    if "__str__" in cls.__dict__:
+        cls.__str__ = limited(cls.__str__)
+    return cls

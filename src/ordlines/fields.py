@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import _digit_limited
+
 __all__ = ["Eisenstein", "W", "Scalar", "as_scalar"]
 
 
@@ -30,6 +32,7 @@ def _to_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+@_digit_limited
 @dataclass(frozen=True)
 class Eisenstein:
     """``a + b*w`` with ``w*w = -w - 1`` (so ``w`` is a primitive cube root of unity).

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import DegenerateInputError, InvariantViolationError, UsageError
+from .errors import DegenerateInputError, InvariantViolationError, UsageError, _digit_limited
 from .fields import Eisenstein, as_scalar, scalar_sort_key
 
 __all__ = [
@@ -55,6 +55,7 @@ class Kind(str, Enum):
 _COORD_COUNT = {Kind.AFFINE2: 2, Kind.AFFINE3: 3, Kind.PROJECTIVE2: 3}
 
 
+@_digit_limited
 @dataclass(frozen=True)
 class Point:
     """An exact point. Projective points are stored in canonical form."""
@@ -341,22 +342,6 @@ def _hom3(p: Point) -> tuple:
 
 
 # --- canonical objects ------------------------------------------------------
-
-
-def _digit_limited(cls):
-    """Make ``repr`` (and so ``str``) of cls refuse an integer past the interpreter's
-    digit limit (``sys.get_int_max_str_digits``) with a UsageError that names cls,
-    not a bare ValueError."""
-    dataclass_repr = cls.__repr__
-
-    def __repr__(self):
-        try:
-            return dataclass_repr(self)
-        except ValueError as exc:
-            raise UsageError(f"cannot write {cls.__name__}: {exc}") from exc
-
-    cls.__repr__ = __repr__
-    return cls
 
 
 @_digit_limited

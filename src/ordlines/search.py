@@ -42,6 +42,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import floor, gcd
 
 from .analysis import plane_ordinary_profile
@@ -149,54 +150,49 @@ class _LineCounts:
 
     ``keys[i][j]`` is the line key of the pair {i, j}, ``pairs`` maps each
     line key to the number of pairs on it, and ``ordinary`` counts the keys
-    hit by exactly one pair. Intermediate states during a move need not be
-    valid configurations; ``ordinary`` tracks the keys at count 1 throughout.
+    hit by exactly one pair. The start counts come from one ``Counter`` over the
+    Plücker rows, as ``incidence._pair_counts`` counts them; ``pairs`` is then a
+    plain dict, since a ``Counter`` makes a Python call for each new key.
+    Intermediate states during a move need not be valid configurations;
+    ``ordinary`` tracks the keys at count 1 throughout.
     """
 
     def __init__(self, homs: list[tuple[int, ...]]):
         n = len(homs)
+        rows = [plucker_row(homs[i], homs[i + 1 :]) for i in range(n - 1)]
         self.keys: list[list] = [[None] * n for _ in range(n)]
-        self.pairs: dict[tuple[int, ...], int] = {}
-        self.ordinary = 0
-        for i in range(n - 1):
-            for j, key in enumerate(plucker_row(homs[i], homs[i + 1 :]), i + 1):
+        for i, row in enumerate(rows):
+            for j, key in enumerate(row, i + 1):
                 self.keys[i][j] = self.keys[j][i] = key
-                self._add(key)
-
-    @property
-    def num_lines(self) -> int:
-        return len(self.pairs)
-
-    def _add(self, key) -> None:
-        c = self.pairs.get(key, 0)
-        self.pairs[key] = c + 1
-        if c == 0:
-            self.ordinary += 1
-        elif c == 1:
-            self.ordinary -= 1
-
-    def _remove(self, key) -> None:
-        c = self.pairs[key]
-        if c == 1:
-            del self.pairs[key]
-            self.ordinary -= 1
-        else:
-            self.pairs[key] = c - 1
-            if c == 2:
-                self.ordinary += 1
+        self.pairs: dict[tuple[int, ...], int] = dict(Counter(chain.from_iterable(rows)))
+        self.ordinary = sum(c == 1 for c in self.pairs.values())
 
     def replace(self, i: int, new_keys: list) -> list:
         """Give point i the pair keys ``new_keys`` (indexed like the points, entry i
         ignored) and return its previous row, which undoes the move when replaced back."""
-        row = self.keys[i]
+        pairs, keys, ordinary = self.pairs, self.keys, self.ordinary
+        row = keys[i]
         for j, key in enumerate(row):
             if j != i:
-                self._remove(key)
+                c = pairs[key]
+                if c == 1:
+                    del pairs[key]
+                    ordinary -= 1
+                else:
+                    pairs[key] = c - 1
+                    if c == 2:
+                        ordinary += 1
         for j, key in enumerate(new_keys):
             if j != i:
-                self._add(key)
-                self.keys[j][i] = key
-        self.keys[i] = new_keys
+                c = pairs.get(key, 0)
+                pairs[key] = c + 1
+                if c == 0:
+                    ordinary += 1
+                elif c == 1:
+                    ordinary -= 1
+                keys[j][i] = key
+        keys[i] = new_keys
+        self.ordinary = ordinary
         return row
 
     def classes(self, i: int) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -315,7 +311,7 @@ def minimize_ordinary(config: SearchConfig) -> SearchResult:
         new_keys.insert(i, None)
         old_keys = lines.replace(i, new_keys)
         candidate = lines.ordinary
-        ok = lines.num_lines > 1
+        ok = len(lines.pairs) > 1
         if ok and candidate >= current:
             ok = _accepts(candidate - current, tn, td, rng.randrange(_DRAW_DEN))
         if ok:

@@ -1,5 +1,6 @@
 """Bound constants and the concrete verifiers."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -260,6 +261,24 @@ def test_almost_coplanar_offender_is_pinned(name):
         assert str(err.value) == (
             f"plane {vector} contains {points} points, more than n - k = {len(P) - k}"
         ), k
+
+
+def test_almost_coplanar_offender_past_the_digit_limit_is_a_usage_error():
+    """Five of seven points with 1,601-digit coordinates on one plane, whose key
+    has about 4,800 digits: at k = 3 it is the offender, and naming it would pass
+    the interpreter's default digit limit."""
+    big = 10**1600
+    o, u, v = (big + 11, 13, 2 * big + 17), (big + 1, 2 * big + 3, 5), (7, big - 1, 3 * big + 2)
+    steps = ((0, 0), (1, 0), (0, 1), (1, 1), (2, -1))
+    on = [tuple(a + s * b + t * c for a, b, c in zip(o, u, v)) for s, t in steps]
+    P = PointSet([affine3(*c) for c in on + [(0, 0, 0), (1, 2, 3)]])
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the interpreter's default
+    try:
+        with pytest.raises(UsageError, match="^cannot write the plane with 5 points, more than n - k = 4: "):
+            verify_almost_coplanar(P, 3)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_almost_coplanar_usage_errors_name_plane_summary():

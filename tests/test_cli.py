@@ -209,6 +209,18 @@ def test_verify_concurrent(runner, tmp_path):
     assert result.exit_code != 0
 
 
+@pytest.mark.parametrize("apex", ["0,0,0", "0,0"])
+def test_verify_concurrent_refuses_a_3d_set_before_reading_the_apex(runner, tmp_path, apex):
+    """A 3D set gets the probe's refusal, whatever the apex's coordinate count."""
+    path = tmp_path / "box.txt"
+    path.write_text("dim=3 kind=affine field=Q\n0 0 1\n1 0 0\n0 1 0\n1 1 1\n", encoding="utf-8")
+    result = runner.invoke(main, ["verify", "concurrent", str(path), "--apex", apex])
+    assert (result.exit_code, result.output) == (
+        1,
+        "Error: concurrent_lines_probe needs a planar set\n",
+    ), _everything(result)
+
+
 def test_constants_command(runner):
     result = CliRunner().invoke(
         main, ["constants", "--alpha", "2/27", "--beta", "2/3", "--gamma", "1/9", "--json"]

@@ -13,6 +13,7 @@ from ordlines import (
     GenerationError,
     Kind,
     PointSet,
+    SpanSummary,
     UsageError,
     boroczky_model,
     gen_coplanar_heavy,
@@ -193,6 +194,14 @@ def test_boroczky_counts_and_identity():
         assert s.t[m] >= 1
         assert sum(comb(k, 2) * c for k, c in s.t.items()) == comb(2 * m, 2)
         assert s.num_lines == 1 + comb(m, 2) + m
+
+
+def test_boroczky_model_is_a_span_summary():
+    """The model reports its lines as span_summary reports a point set's."""
+    for m in (4, 6, 50):
+        s = boroczky_model(m)
+        assert isinstance(s, SpanSummary)
+        assert s.max_collinear == m == max(s.t)
 
 
 def test_boroczky_model_is_pinned():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from ordlines import (
     CanonLine3,
     DegenerateInputError,
+    Eisenstein,
     InvariantViolationError,
     Kind,
     UsageError,
@@ -259,6 +260,8 @@ def test_canon_plane_independent_of_spanning_triple():
         ("CanonLine2", lambda big: canon_line(affine2(big, 0), affine2(0, 1))),
         ("CanonLine3", lambda big: canon_line(affine3(big, 0, 0), affine3(0, 1, 0))),
         ("CanonPlane", lambda big: canon_plane(affine3(big, 0, 0), affine3(0, 1, 0), affine3(0, 0, 1))),
+        ("Point", lambda big: affine2(big, 0)),
+        ("Eisenstein", lambda big: Eisenstein(big, 1)),
     ],
 )
 def test_canonical_objects_past_the_digit_limit_are_a_usage_error(name, make):
@@ -271,7 +274,7 @@ def test_canonical_objects_past_the_digit_limit_are_a_usage_error(name, make):
                 text(obj)
     finally:
         sys.set_int_max_str_digits(limit)
-    assert repr(make(10)).startswith(f"{name}(")
+    assert repr(make(10)).startswith("affine2(" if name == "Point" else f"{name}(")
 
 
 def test_canon_plane_collinear_triple_rejected():

@@ -318,7 +318,7 @@ def _state_of(lines: _LineCounts) -> tuple[int, int, dict[int, int]]:
     for c in lines.pairs.values():
         k = next(k for k in range(2, 200) if k * (k - 1) // 2 == c)
         t[k] = t.get(k, 0) + 1
-    return lines.ordinary, lines.num_lines, dict(sorted(t.items()))
+    return lines.ordinary, len(lines.pairs), dict(sorted(t.items()))
 
 
 @settings(max_examples=40, deadline=None)
