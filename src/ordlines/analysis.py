@@ -30,7 +30,6 @@ from .geometry import (
 )
 from .incidence import (
     PointSet,
-    _breaks_cap,
     _line_histogram,
     _ordinary_keys,
     _plane_groups,
@@ -202,9 +201,9 @@ def verify_almost_coplanar(P: PointSet, k: int) -> AlmostCoplanarReport:
     n = len(P)
     if k > n:
         raise UsageError(f"k must be at most n = {n}")
-    if _breaks_cap(P, n - k, "plane_summary"):
+    over = _plane_groups(P, n - k + 1)
+    if over:
         # The heaviest of the planes over n - k, ties broken by the least key.
-        over = _plane_groups(P, n - k + 1)
         offender = min(over, key=lambda key: (-len(over[key]), key))
         excess = f"{len(over[offender])} points, more than n - k = {n - k}"
         try:

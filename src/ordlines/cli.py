@@ -262,7 +262,8 @@ def verify_sg(ctx, file):
     ps = read_pointset_file(file)
     rep = verify_sylvester_gallai(ps)
     if rep.witness is not None:
-        click.echo(f"holds: ordinary line with coefficients {rep.witness.vector}")
+        coefficients = ", ".join(map(str, rep.witness.vector))
+        click.echo(f"holds: ordinary line with coefficients ({coefficients})")
     elif rep.holds:
         click.echo("holds vacuously: all points collinear")
     else:

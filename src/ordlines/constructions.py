@@ -18,7 +18,7 @@ from math import comb, floor, gcd
 from .errors import GenerationError, InvariantViolationError, UsageError
 from .fields import Eisenstein, W, _to_fraction
 from .geometry import Point, affine2, affine3, projective2
-from .incidence import PointSet, SpanSummary, _breaks_cap
+from .incidence import PointSet, SpanSummary, _plane_groups
 
 __all__ = [
     "gen_two_skew",
@@ -43,10 +43,10 @@ def _rand_fraction(rng: random.Random, bound: int) -> Fraction:
     return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
 
 
-def _require_count(n) -> None:
-    """Refuse a number of points that is not an int; a bool is not one."""
+def _require_count(n, what: str = "a number of points") -> None:
+    """Refuse a count that is not an int; a bool is not one."""
     if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError(f"cannot interpret {n!r} as a number of points")
+        raise TypeError(f"cannot interpret {n!r} as {what}")
 
 
 def _random_points(rng: random.Random, n: int, dim: int, bound: int) -> list[Point]:
@@ -112,7 +112,7 @@ def gen_near_coplanar(n: int, k: int, seed: int = 0) -> PointSet:
         pts += [affine3(x, y, 0) for x, y in sorted(planar)]
         pts += [affine3(0, 0, t) for t in range(1, k + 1)]
         ps = PointSet(pts, label=f"near-coplanar-{n}-{k}-seed{seed}")
-        if not _breaks_cap(ps, n - k):  # z = 0 holds n - k points
+        if not _plane_groups(ps, n - k + 1):  # z = 0 holds n - k points
             return ps
     raise GenerationError(
         f"no admissible near-coplanar set for n={n}, k={k} after {RETRY_LIMIT} tries"
@@ -137,7 +137,7 @@ def gen_coplanar_heavy(n: int, alpha: Fraction, seed: int = 0) -> PointSet:
         pts += [affine3(x, y, z + 60) for x, y, z in off]
         pts.sort(key=lambda p: (p.coords[2], p.coords[0], p.coords[1]))
         ps = PointSet(pts, label=f"coplanar-heavy-{n}-{alpha}-seed{seed}")
-        if not _breaks_cap(ps, m):  # z = 0 holds m points
+        if not _plane_groups(ps, m + 1):  # z = 0 holds m points
             return ps
     raise GenerationError(
         f"no admissible coplanar-heavy set for n={n}, alpha={alpha} after {RETRY_LIMIT} tries"

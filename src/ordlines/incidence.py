@@ -37,12 +37,12 @@ Planes group pairs of one anchor's direction classes by the normal they span,
 so each group (a bundle) is the anchor's share of one plane, again complete at
 its first anchor, without touching raw triples. A bundle carries the count of its
 points beside its classes, so the heaviest plane through a point is read
-without listing members. Whether some plane holds at least m points needs
-less: such a plane misses at most N - m of the anchor's N later points, so it
-contains two of the few largest classes, and only the bundles of those are
-formed and completed (``_some_plane_holds``). The kernels read a rational
-set's integer coordinates, computed once per set (``PointSet.homs``), so a
-subset of the set is counted from its indices and never rebuilt as a set.
+without listing members. Every plane question asks which planes through an
+anchor hold at least m of its N later points (``_heavy_planes``): such a plane
+misses at most N - m of them, so it contains two of the few largest classes,
+and only the bundles of those are formed and completed. The kernels read a
+rational set's integer coordinates, computed once per set (``PointSet.homs``),
+so a subset of the set is counted from its indices and never rebuilt as a set.
 
 Projections from a set point are kept projective: the image of q under
 projection from p is the direction of the line pq, as a point of the rational
@@ -317,25 +317,14 @@ def ordinary_lines(P: PointSet) -> list[CanonLine2 | CanonLine3]:
 
 
 def max_coplanar(P: PointSet) -> int:
-    """The most points of a 3D set on one spanned plane: an anchor and its largest
-    bundle of later points (``_bundles``), as a plane is complete at its first point."""
-    return 1 + max(
-        bundle[0]
-        for _, classes in _plane_anchors(P, 2, "max_coplanar")
-        for bundle in _bundles(list(classes), list(map(len, classes.values()))).values()
-    )
-
-
-def _breaks_cap(P: PointSet, cap: int, name: str = "max_coplanar") -> bool:
-    """Whether some spanned plane of a 3D set holds more than cap points, that is
-    ``max_coplanar(P) > cap``, with its errors (``name`` is the caller named in a
-    usage error). Such a plane holds at least cap points after its first point,
-    so only anchors with that many later points are asked (``_some_plane_holds``).
-    """
-    return any(
-        _some_plane_holds(list(classes), list(map(len, classes.values())), cap)
-        for _, classes in _plane_anchors(P, cap, name)
-    )
+    """The most points of a 3D set on one spanned plane: an anchor and its heaviest
+    plane of later points, as a plane is complete at its first point. Each anchor
+    asks only for planes heavier than the best so far (``_heavy_planes``)."""
+    best = 1  # points besides the anchor; every plane holds at least 2
+    for _, classes in _plane_anchors(P, 2, "max_coplanar"):
+        planes = _heavy_planes(list(classes), list(map(len, classes.values())), best + 1)
+        best = max((plane[0] for plane in planes.values()), default=best)
+    return 1 + best
 
 
 def _degree_stripe(items, row, stripe: int, stripes: int) -> list[int]:
@@ -404,9 +393,10 @@ def _bundles(dirs: list, sizes: list[int]) -> dict[tuple[int, ...], list[int]]:
     return bundles
 
 
-def _some_plane_holds(dirs: list, sizes: list[int], m: int) -> bool:
-    """Whether some plane through an anchor with these direction classes (see
-    ``_bundles``) holds at least m points besides the anchor, pruned by pigeonhole.
+def _heavy_planes(dirs: list, sizes: list[int], m: int) -> dict[tuple[int, ...], list[int]]:
+    """The planes through an anchor with these direction classes (see ``_bundles``)
+    that hold at least m points besides the anchor, each mapped from its normal to
+    ``[points, classes...]`` as a bundle is, pruned by pigeonhole.
 
     With N points in the classes, such a plane misses at most slack = N - m of
     them. Take classes, largest first, until the prefix holds slack + s + 2
@@ -416,14 +406,12 @@ def _some_plane_holds(dirs: list, sizes: list[int], m: int) -> bool:
     slack`` points. Only those bundles are completed with the other classes, by
     the exact dot product of the normal with each direction. A margin of s + 1
     would be enough; s + 2 keeps the prefix's 3-point planes from all being
-    candidates when s is 1. When the prefix is every class, this is the full
-    enumeration.
+    candidates when s is 1. When the prefix is every class (always for m <= 2),
+    the bundles are returned, filtered only for m > 2: each holds at least 2.
     """
-    if m <= 0:
-        return True
     slack = sum(sizes) - m
     if slack < 0:
-        return False
+        return {}
     order = sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True)
     need = slack + sizes[order[0]] + 2
     prefix, total = [], 0
@@ -432,19 +420,27 @@ def _some_plane_holds(dirs: list, sizes: list[int], m: int) -> bool:
             break
         prefix.append(c)
         total += sizes[c]
+    if len(prefix) == len(order):  # nothing pruned
+        bundles = _bundles(dirs, sizes)
+        return bundles if m <= 2 else {k: b for k, b in bundles.items() if b[0] >= m}
     rest = order[len(prefix) :]
+    planes: dict[tuple[int, ...], list[int]] = {}
     bundles = _bundles([dirs[c] for c in prefix], [sizes[c] for c in prefix])
-    for (n0, n1, n2), bundle in bundles.items():
+    for normal, bundle in bundles.items():
         count = bundle[0]
         if count < total - slack:
             continue
+        n0, n1, n2 = normal
+        classes = [prefix[c] for c in bundle[1:]]
         for c in rest:
             d0, d1, d2 = dirs[c]
             if n0 * d0 + n1 * d1 + n2 * d2 == 0:
                 count += sizes[c]
+                classes.append(c)
         if count >= m:
-            return True
-    return False
+            classes.sort()
+            planes[normal] = [count, *classes]
+    return planes
 
 
 def _plane_anchors(P: PointSet, later: int, name: str):
@@ -471,10 +467,10 @@ def _plane_groups(P: PointSet, min_points: int = 3) -> dict[tuple[int, ...], tup
     """Map the key (as ``plane_key`` gives it) of each spanned plane with at least
     ``min_points`` points to the sorted indices of the points of P on it.
 
-    Each point i anchors the planes it spans with the points after it. A plane
-    is complete at its smallest-index anchor, so a key seen before is skipped,
-    and a bundle with fewer points is never keyed. A bundle's normal n is
-    primitive with a positive leading entry and the anchor's weight w is
+    Each point i anchors the planes of at least ``min_points`` points it spans
+    with the points after it (``_heavy_planes``). A plane is complete at its
+    smallest-index anchor, so a key seen before is skipped. A plane's normal n
+    is primitive with a positive leading entry and the anchor's weight w is
     positive, so the plane's vector (w*n, d) has content gcd(w, d) and needs no
     sign change.
     """
@@ -482,16 +478,15 @@ def _plane_groups(P: PointSet, min_points: int = 3) -> dict[tuple[int, ...], tup
     for i, classes in _plane_anchors(P, min_points - 1, "plane_summary"):
         x0, x1, x2, w = P.homs[i]  # read after the anchors' checks
         members = list(classes.values())
-        for (n0, n1, n2), bundle in _bundles(list(classes), list(map(len, members))).items():
-            if bundle[0] < min_points - 1:
-                continue
+        planes = _heavy_planes(list(classes), list(map(len, members)), min_points - 1)
+        for (n0, n1, n2), plane in planes.items():
             d = -(n0 * x0 + n1 * x1 + n2 * x2)
             g = gcd(w, d)
             f = w // g
             key = (f * n0, f * n1, f * n2, d // g)
             if key not in groups:
-                on_plane = members[bundle[1]] + members[bundle[2]]
-                for c in bundle[3:]:
+                on_plane = members[plane[1]] + members[plane[2]]
+                for c in plane[3:]:
                     on_plane += members[c]
                 on_plane.sort()
                 groups[key] = (i, *on_plane)
@@ -532,13 +527,13 @@ def kelly_trace(P: PointSet, center_index: int) -> KellyTraceReport:
 
     The image points are the center's direction classes, and a class of one
     point is a unique-preimage point. An image line is a plane through the
-    center, so the image lines with at least two image points are the bundles
-    of those classes (``_bundles``). In each bundle with no unique-preimage
-    point, the plane's lines through the center hold a whole class of at least
-    two points besides the center, so the plane's ordinary lines are those that
-    avoid the center: its pair keys counted once. Over the rationals every such
-    plane has one; an empty-handed search is reported as an invariant violation
-    rather than papered over.
+    center, so the image lines with at least two image points are the planes
+    through it with two or more other points (``_heavy_planes`` at m = 2). In
+    each with no unique-preimage point, the plane's lines through the center
+    hold a whole class of at least two points besides the center, so the
+    plane's ordinary lines are those that avoid the center: its pair keys
+    counted once. Over the rationals every such plane has one; an empty-handed
+    search is reported as an invariant violation rather than papered over.
     """
     if P.field_name != "Q":
         raise UsageError("kelly_trace needs a rational point set")
@@ -549,12 +544,12 @@ def kelly_trace(P: PointSet, center_index: int) -> KellyTraceReport:
     center = homs[center_index]
     l1_size = 0
     found: set[tuple[int, ...]] = set()
-    for bundle in _bundles(list(classes), sizes).values():
-        if any(sizes[c] == 1 for c in bundle[1:]):
+    for plane in _heavy_planes(list(classes), sizes, 2).values():
+        if any(sizes[c] == 1 for c in plane[1:]):
             continue
         l1_size += 1
-        # The plane meets P exactly in the center and the bundle's classes.
-        local = [center] + [homs[i] for c in bundle[1:] for i in members[c]]
+        # The plane meets P exactly in the center and its classes.
+        local = [center] + [homs[i] for c in plane[1:] for i in members[c]]
         ordinary = [key for key, pairs in _pair_counts(local, plucker_row).items() if pairs == 1]
         if not ordinary:
             raise InvariantViolationError(

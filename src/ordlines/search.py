@@ -28,12 +28,13 @@ checked once a proposal would otherwise be accepted, and only through the
 moved point: a move can create an overweight plane only through the point it
 placed. The lines through that point are read from its new row of keys, so
 the check keys no direction, and it counts points per plane instead of
-listing them. It only asks whether some plane through the point holds cap or
+listing them. It only asks for the planes through the point that hold cap or
 more of the other points, so it crosses only the largest lines through the
 point: a pigeonhole count shows that such a plane contains two of them
-(``incidence._some_plane_holds``). The start set gets the same check per
-anchor (``incidence._breaks_cap``), and the best set is checked off its plane
-profile, which lists every plane of 4 or more points.
+(``incidence._heavy_planes``). The start set asks the same kernel per anchor,
+for its planes of more than cap points (``incidence._plane_groups``), and the
+best set is checked off its plane profile, which lists every plane of 4 or
+more points.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .constructions import RETRY_LIMIT, _random_points, _require_count, _rng
 from .errors import DegenerateInputError, GenerationError, InvariantViolationError, UsageError
 from .fields import _to_fraction
 from .geometry import Kind, Point, affine3, plucker_row
-from .incidence import PointSet, _breaks_cap, _some_plane_holds, span_summary
+from .incidence import PointSet, _heavy_planes, _plane_groups, span_summary
 
 __all__ = ["SearchConfig", "SearchResult", "minimize_ordinary"]
 
@@ -117,6 +118,8 @@ class SearchConfig:
         object.__setattr__(self, "alpha", _to_fraction(self.alpha))
         if self.cap < 3:
             raise UsageError(f"cap floor(alpha*n) = {self.cap} below 3 is infeasible")
+        _require_count(self.iterations, "a number of iterations")
+        _require_count(self.coordinate_bound, "a coordinate bound")
         if self.iterations < 0:
             raise UsageError("iterations must be nonnegative")
         if self.coordinate_bound < 1:
@@ -196,7 +199,7 @@ class _LineCounts:
         return row
 
     def classes(self, i: int) -> tuple[list[tuple[int, ...]], list[int]]:
-        """The lines through point i as ``_some_plane_holds`` takes them: a
+        """The lines through point i as ``_heavy_planes`` takes them: a
         direction of each and the number of other points on it. Equal keys in row
         i are the same line through i, and entries (p03, p13, p23) of a Plücker
         key are a nonzero multiple of its direction."""
@@ -209,7 +212,7 @@ def _random_start(config: SearchConfig, rng: random.Random) -> PointSet:
     for _ in range(RETRY_LIMIT):
         start = PointSet(_random_points(rng, config.n, 3, config.coordinate_bound))
         try:
-            if not _breaks_cap(start, config.cap):
+            if not _plane_groups(start, config.cap + 1):
                 return start
         except DegenerateInputError:  # all collinear
             continue
@@ -283,7 +286,7 @@ def minimize_ordinary(config: SearchConfig) -> SearchResult:
             raise UsageError(
                 f"initial set has {len(config.initial)} points, config says n={config.n}"
             )
-        if _breaks_cap(config.initial, config.cap):
+        if _plane_groups(config.initial, config.cap + 1):
             raise UsageError("initial set violates the coplanarity cap")
         start = config.initial
     else:
@@ -315,7 +318,7 @@ def minimize_ordinary(config: SearchConfig) -> SearchResult:
         if ok and candidate >= current:
             ok = _accepts(candidate - current, tn, td, rng.randrange(_DRAW_DEN))
         if ok:
-            ok = not _some_plane_holds(*lines.classes(i), config.cap)
+            ok = not _heavy_planes(*lines.classes(i), config.cap)
         if not ok:
             homs[i] = old_hom
             lines.replace(i, old_keys)

@@ -133,6 +133,18 @@ def test_verify_sylvester_gallai(runner, tmp_path):
     assert "vacuously" in result.output
 
 
+def test_verify_sylvester_gallai_prints_an_eisenstein_witness_as_the_file_format_does(
+    runner, tmp_path
+):
+    path = tmp_path / "frame.txt"
+    path.write_text("dim=2 kind=projective field=Qw\n1 0 0\n0 1 0\n0 0 1\n1 1 1\n", encoding="utf-8")
+    result = runner.invoke(main, ["verify", "sylvester-gallai", str(path)])
+    assert (result.exit_code, result.output) == (
+        0,
+        "holds: ordinary line with coefficients (0+0*w, 0+0*w, 1+0*w)\n",
+    )
+
+
 def test_verify_skew_bound(runner, tmp_path):
     path = _gen(runner, tmp_path, "skew", "--m", "5")
     result = runner.invoke(main, ["verify", "skew-bound", str(path)])

@@ -46,7 +46,7 @@ from ordlines import (
 )
 from ordlines import incidence
 from ordlines.geometry import CanonPlane, Kind, direction2_row, int_hom, plane_key
-from ordlines.incidence import _breaks_cap, _pair_counts, _pair_keys, _plane_groups
+from ordlines.incidence import _pair_counts, _pair_keys, _plane_groups
 from conftest import (
     big_rational,
     big_vec,
@@ -56,6 +56,7 @@ from conftest import (
     naive_plane_counts,
     naive_plane_sets,
     naive_span,
+    random_affine_map,
     small_int,
 )
 
@@ -318,39 +319,105 @@ def test_max_coplanar_rejects_collinear_2d_and_small_sets(o, w, ts):
         max_coplanar(PointSet([affine2(0, 0), affine2(1, 0), affine2(0, 1), affine2(*o[:2])]))
 
 
+def _conic(ts, lift):
+    """Points (t, t^2, lift(t, t^2)) for t in ts: on the plane z = lift(x, y) when
+    lift is linear, no three on one line."""
+    return [(t, t * t, lift(t, t * t)) for t in ts]
+
+
+def _max_coplanar_case(coords, seed):
+    """The set of ``coords`` under a random invertible affine map, its naive
+    planes, and the sizes of those planes, largest first."""
+    mapping = random_affine_map(random.Random(seed))
+    P = PointSet([mapping(affine3(*c)) for c in coords])
+    naive = naive_plane_sets(P)
+    return P, naive, sorted(map(len, naive), reverse=True)
+
+
+_map_seeds = st.integers(min_value=0, max_value=2**32)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(min_value=4, max_value=5), st.integers(min_value=1, max_value=3), _map_seeds)
+def test_max_coplanar_finds_a_heaviest_plane_that_starts_late(light, extra, seed):
+    """Two free points and a lighter plane come first, so the early anchors set a
+    low best, and the heaviest plane starts after them."""
+    free = [(0, 0, 7), (3, -5, 11)]
+    lighter = _conic(range(light), lambda x, y: 0)
+    heavy = _conic(range(20, 20 + light + extra), lambda x, y: x + 2 * y - 50)
+    P, naive, sizes = _max_coplanar_case(free + lighter + heavy, seed)
+    heaviest = max(naive, key=len)
+    assert sizes[:2] == [light + extra, light] and min(heaviest) == len(free) + light
+    assert max_coplanar(P) == light + extra
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(min_value=5, max_value=7), st.permutations(range(14)), _map_seeds)
+def test_max_coplanar_with_two_heaviest_planes(size, order, seed):
+    """Two planes of the same size, their points interleaved in a drawn order."""
+    coords = _conic(range(size), lambda x, y: 0) + _conic(range(1, size + 1), lambda x, y: 9)
+    coords = [coords[k] for k in order if k < len(coords)]
+    P, naive, sizes = _max_coplanar_case(coords, seed)
+    assert sizes[:3] == [size, size, 4]
+    assert max_coplanar(P) == size
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(min_value=7, max_value=9), st.integers(min_value=2, max_value=4), _map_seeds)
+def test_max_coplanar_prunes_every_anchor_after_the_heaviest_plane(size, free, seed):
+    """The heaviest plane starts at anchor 0, so every later anchor asks only for
+    planes heavier than it."""
+    coords = _conic(range(size), lambda x, y: 0) + [(t, t**3, 1 + t) for t in range(free)]
+    P, naive, sizes = _max_coplanar_case(coords, seed)
+    assert sizes[0] == size > sizes[1] and min(max(naive, key=len)) == 0
+    asked = []
+    kernel = incidence._heavy_planes
+
+    def spy(dirs, sizes, m):
+        asked.append(m)
+        return kernel(dirs, sizes, m)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(incidence, "_heavy_planes", spy)
+        assert max_coplanar(P) == size
+    assert asked == [2] + [size] * (len(P) - 3)
+
+
 @settings(max_examples=15, deadline=None)
 @given(big_vec, big_vec, st.lists(small_int, min_size=3, max_size=8, unique=True))
 def test_cap_check_rejects_collinear_2d_and_small_sets(o, w, ts):
-    """``_breaks_cap`` raises what ``max_coplanar`` raises, at any cap."""
+    """The cap check, ``_plane_groups(P, cap + 1)``, raises what ``max_coplanar``
+    raises, at any cap, naming ``plane_summary``."""
     if not any(w):
         w = (Fraction(1), Fraction(0), Fraction(0))
     run = PointSet([affine3(*(a + t * d for a, d in zip(o, w))) for t in ts])
     flat = PointSet([affine2(0, 0), affine2(1, 0), affine2(0, 1), affine2(1, 1)])
     for cap in (2, 3, len(ts), len(ts) + 1):
         with pytest.raises(DegenerateInputError, match="all points are collinear"):
-            _breaks_cap(run, cap)
-        with pytest.raises(UsageError, match="max_coplanar needs at least 3 points"):
-            _breaks_cap(PointSet(run.points[:2]), cap)
-        with pytest.raises(UsageError, match="max_coplanar needs a 3D affine set"):
-            _breaks_cap(flat, cap)
+            _plane_groups(run, cap + 1)
+        with pytest.raises(UsageError, match="plane_summary needs at least 3 points"):
+            _plane_groups(PointSet(run.points[:2]), cap + 1)
+        with pytest.raises(UsageError, match="plane_summary needs a 3D affine set"):
+            _plane_groups(flat, cap + 1)
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(planted_sets())
 def test_cap_check_and_filtered_planes_match_the_full_kernel(P):
-    """``_breaks_cap`` is ``max_coplanar(P) > cap`` at every cap, and the planes
-    of at least m points are the unfiltered planes restricted to them."""
+    """The cap check, ``_plane_groups(P, cap + 1)``, is nonempty exactly when
+    ``max_coplanar(P) > cap``, at every cap, and the planes of at least m points
+    are the unfiltered planes restricted to them."""
     if not naive_plane_sets(P):
         for cap in range(2, len(P) + 1):
             with pytest.raises(DegenerateInputError):
-                _breaks_cap(P, cap)
+                _plane_groups(P, cap + 1)
         for m in range(3, 7):
             with pytest.raises(DegenerateInputError):
                 _plane_groups(P, m)
         return
     heaviest = max_coplanar(P)
     for cap in range(2, len(P) + 1):
-        assert _breaks_cap(P, cap) == (heaviest > cap), cap
+        assert bool(_plane_groups(P, cap + 1)) == (heaviest > cap), cap
     groups = _plane_groups(P)
     for m in range(3, 7):
         expected = {key: members for key, members in groups.items() if len(members) >= m}

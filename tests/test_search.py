@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import re
 from collections import Counter
 from itertools import combinations, product
 from fractions import Fraction
@@ -28,7 +29,7 @@ from ordlines import (
     write_pointset,
 )
 from ordlines.geometry import int_hom, plucker_key
-from ordlines.incidence import _direction_classes, _some_plane_holds
+from ordlines.incidence import _direction_classes, _heavy_planes
 from ordlines.constructions import _rand_fraction
 from ordlines.search import (
     _DRAW_DEN,
@@ -59,6 +60,17 @@ def test_search_refuses_a_size_that_is_not_an_int():
     for n in (10.5, True):
         with pytest.raises(TypeError, match=rf"^cannot interpret {n} as a number of points$"):
             SearchConfig(n=n, alpha=Fraction(1, 2), iterations=5)
+
+
+def test_search_refuses_counts_that_are_not_ints():
+    # Refused with the config, before a start set is drawn and keyed; True, an
+    # int to isinstance, is refused as well.
+    whats = {"iterations": "a number of iterations", "coordinate_bound": "a coordinate bound"}
+    for name, what in whats.items():
+        for value in (2.5, True, Fraction(3)):
+            message = f"cannot interpret {value!r} as {what}"
+            with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+                SearchConfig(n=8, alpha=Fraction(1, 2), **{"iterations": 5, name: value})
 
 
 def test_config_validation():
@@ -358,6 +370,24 @@ def test_incremental_line_counts_match_span_summary(data):
             assert _state_of(lines) == _line_state(points)
 
 
+def _assert_naive_planes(planes, dirs, members, naive, point, m):
+    """``planes``, as ``_heavy_planes`` returns them for ``point`` from the classes
+    with directions ``dirs`` and point indices ``members``, are the naive planes
+    through the point with at least m other points, each less the point and with
+    its exact count."""
+    found = set()
+    for (n0, n1, n2), (count, *classes) in planes.items():
+        assert classes == sorted(set(classes))
+        for c in classes:
+            d0, d1, d2 = dirs[c]
+            assert n0 * d0 + n1 * d1 + n2 * d2 == 0
+        on_plane = frozenset(j for c in classes for j in members[c])
+        assert count == len(on_plane) >= m
+        found.add(on_plane)
+    assert len(found) == len(planes)
+    assert found == {s - {point} for s in naive if point in s and len(s) - 1 >= m}, m
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(_grid_point, min_size=4, max_size=12, unique=True), st.data())
 def test_cap_check_matches_naive_heaviest_plane(coords, data):
@@ -371,7 +401,9 @@ def test_cap_check_matches_naive_heaviest_plane(coords, data):
     classes = _direction_classes(homs, moved, [j for j in range(len(P)) if j != moved])
     dirs, sizes = list(classes), list(map(len, classes.values()))
     for m in range(len(P) + 1):
-        assert _some_plane_holds(dirs, sizes, m) == (heaviest - 1 >= m), m
+        heavy = _heavy_planes(dirs, sizes, m)
+        assert bool(heavy) == (heaviest - 1 >= m), m
+        _assert_naive_planes(heavy, dirs, list(classes.values()), planes, moved, m)
 
 
 @st.composite
@@ -402,10 +434,10 @@ def _runs_through_a_point(draw, max_n=14):
 @settings(max_examples=40, deadline=None)
 @given(_runs_through_a_point(), big_vec)
 def test_pruned_plane_check_matches_naive(case, start):
-    """The pigeonhole-pruned check answers "does some plane through the point hold
-    at least m other points" as the naive heaviest plane does, for every m, on
-    the point's direction classes and on the classes read from its row of the
-    line counts after a move."""
+    """The pigeonhole-pruned kernel answers "which planes through the point hold
+    at least m other points" as the naive planes do, for every m, on the point's
+    direction classes and on the classes read from its row of the line counts
+    after a move."""
     coords, moved = case
     P = PointSet([affine3(*c) for c in coords])
     planes = naive_plane_sets(P)
@@ -423,9 +455,13 @@ def test_pruned_plane_check_matches_naive(case, start):
         moved, [None if j == moved else plucker_key(homs[moved], h) for j, h in enumerate(homs)]
     )
     row = lines.classes(moved)
+    keys = lines.keys[moved]
+    row_members = [[j for j, key in enumerate(keys) if key == k] for k in dict.fromkeys(keys) if k]
     for m in range(len(P) + 2):
-        assert _some_plane_holds(*direct, m) == (others_heaviest >= m), m
-        assert _some_plane_holds(*row, m) == (others_heaviest >= m), m
+        for (dirs, sizes), members in ((direct, list(classes.values())), (row, row_members)):
+            heavy = _heavy_planes(dirs, sizes, m)
+            assert bool(heavy) == (others_heaviest >= m), m
+            _assert_naive_planes(heavy, dirs, members, planes, moved, m)
 
 
 # --- golden runs ------------------------------------------------------------
