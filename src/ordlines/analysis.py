@@ -6,6 +6,9 @@ of the inequalities are only guaranteed asymptotically: a false ``holds`` on a
 small set is data, not a bug. Inequalities that are theorems at every size
 (the skew-lines bound, Sylvester-Gallai over the rationals) are enforced by
 the test suite on top of these reports.
+
+Each verifier imports the geometry and incidence names it uses when it runs,
+so evaluating the bound constants loads neither module.
 """
 
 from __future__ import annotations
@@ -14,28 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, _require_count
 from .fields import _to_fraction
-from .geometry import (
-    CanonLine2,
-    CanonLine3,
-    Kind,
-    Point,
-    _plucker_incident,
-    canon_line,
-    collinear,
-    direction_row,
-    incident,
-    skew,
-)
-from .incidence import (
-    PointSet,
-    _line_histogram,
-    _ordinary_keys,
-    _plane_groups,
-    ordinary_lines,
-    span_summary,
-)
 
 __all__ = [
     "BoundConstants",
@@ -149,6 +132,9 @@ def verify_sylvester_gallai(P: PointSet) -> SylvesterGallaiReport:
     Always true over the rationals; the extension field admits counterexamples,
     which this reports rather than rejects.
     """
+    from .geometry import Kind, collinear
+    from .incidence import _ordinary_keys
+
     if P.kind not in (Kind.AFFINE2, Kind.PROJECTIVE2):
         raise UsageError("verify_sylvester_gallai needs a planar set")
     if len(P) < 3:
@@ -170,6 +156,9 @@ class SkewBoundReport:
 def verify_skew_bound(P: PointSet, line1: CanonLine3, line2: CanonLine3) -> SkewBoundReport:
     """Compare the ordinary count of P against |P on l|*|P on l'| - |P| for two
     skew lines."""
+    from .geometry import Kind, _plucker_incident, skew
+    from .incidence import span_summary
+
     if P.kind is not Kind.AFFINE3:
         raise UsageError("verify_skew_bound needs a 3D affine set")
     if not skew(line1, line2):
@@ -196,6 +185,9 @@ def verify_almost_coplanar(P: PointSet, k: int) -> AlmostCoplanarReport:
     The threshold is guaranteed only for n large relative to k, so ``holds``
     is a report; the caveat repeats this.
     """
+    from .incidence import _plane_groups, span_summary
+
+    _require_count(k)
     if k < 0:
         raise UsageError("k must be nonnegative")
     n = len(P)
@@ -229,6 +221,8 @@ class ConcurrentProbeReport:
 
 
 def _require_planar(P: PointSet) -> None:
+    from .geometry import Kind
+
     if P.kind not in (Kind.AFFINE2, Kind.PROJECTIVE2):
         raise UsageError("concurrent_lines_probe needs a planar set")
 
@@ -236,6 +230,9 @@ def _require_planar(P: PointSet) -> None:
 def concurrent_lines_probe(P: PointSet, apex: Point) -> ConcurrentProbeReport:
     """For a planar set covered by few lines through a common apex, count how many
     such lines are needed and how many ordinary lines of P avoid the apex."""
+    from .geometry import canon_line, incident
+    from .incidence import ordinary_lines
+
     _require_planar(P)
     if apex.kind is not P.kind or apex.field_name != P.field_name:
         raise UsageError("apex must match the set's kind and field")
@@ -255,6 +252,9 @@ def plane_ordinary_profile(P: PointSet) -> list[tuple[int, int]]:
     Sorted by descending point count, then ascending ordinary count. Each
     subset is counted on the set's own integer coordinates, by index.
     """
+    from .geometry import direction_row
+    from .incidence import _line_histogram, _plane_groups
+
     homs = P.homs
     profile = [
         (len(members), _line_histogram([homs[i] for i in members], direction_row).ordinary)

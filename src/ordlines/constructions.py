@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, floor, gcd
 
-from .errors import GenerationError, InvariantViolationError, UsageError
+from .errors import GenerationError, InvariantViolationError, UsageError, _require_count
 from .fields import Eisenstein, W, _to_fraction
 from .geometry import Point, affine2, affine3, projective2
 from .incidence import PointSet, SpanSummary, _plane_groups
@@ -34,19 +34,14 @@ RETRY_LIMIT = 100
 
 
 def _rng(seed: int) -> random.Random:
-    if not isinstance(seed, int) or not 0 <= seed < 2**64:
+    """A generator for the seed; a bool is not a seed, though it is an int."""
+    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
         raise UsageError("seed must be an unsigned 64-bit integer")
     return random.Random(seed)
 
 
 def _rand_fraction(rng: random.Random, bound: int) -> Fraction:
     return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-
-
-def _require_count(n, what: str = "a number of points") -> None:
-    """Refuse a count that is not an int; a bool is not one."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError(f"cannot interpret {n!r} as {what}")
 
 
 def _random_points(rng: random.Random, n: int, dim: int, bound: int) -> list[Point]:

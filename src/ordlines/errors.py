@@ -61,3 +61,9 @@ def _digit_limited(cls):
     if "__str__" in cls.__dict__:
         cls.__str__ = limited(cls.__str__)
     return cls
+
+
+def _require_count(n, what: str = "a number of points") -> None:
+    """Refuse a count that is not an int; a bool is not one."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError(f"cannot interpret {n!r} as {what}")

@@ -345,7 +345,7 @@ def _hom3(p: Point) -> tuple:
 
 
 @_digit_limited
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CanonLine2:
     """Canonical coefficient vector of a plane line: a point lies on the line iff the
     dot product with its homogeneous coordinates is zero."""
@@ -357,7 +357,7 @@ class CanonLine2:
 
 
 @_digit_limited
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CanonLine3:
     """Canonical Plücker 6-vector (p01, p02, p03, p12, p13, p23) of a spatial line.
 
@@ -378,7 +378,7 @@ class CanonLine3:
 
 
 @_digit_limited
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CanonPlane:
     """Canonical coefficient vector (a, b, c, d): a point (x, y, z) lies on the plane
     iff ``a*x + b*y + c*z + d == 0``."""

@@ -37,12 +37,15 @@ Planes group pairs of one anchor's direction classes by the normal they span,
 so each group (a bundle) is the anchor's share of one plane, again complete at
 its first anchor, without touching raw triples. A bundle carries the count of its
 points beside its classes, so the heaviest plane through a point is read
-without listing members. Every plane question asks which planes through an
-anchor hold at least m of its N later points (``_heavy_planes``): such a plane
-misses at most N - m of them, so it contains two of the few largest classes,
-and only the bundles of those are formed and completed. The kernels read a
-rational set's integer coordinates, computed once per set (``PointSet.homs``),
-so a subset of the set is counted from its indices and never rebuilt as a set.
+without listing members, and so is each plane's count in ``plane_summary``:
+1 + its bundle's count at its first anchor, where its key is first seen
+(``_new_planes``). Only ``_plane_groups`` lists a plane's members. Every plane
+question asks which planes through an anchor hold at least m of its N later
+points (``_heavy_planes``): such a plane misses at most N - m of them, so it
+contains two of the few largest classes, and only the bundles of those are
+formed and completed. The kernels read a rational set's integer coordinates,
+computed once per set (``PointSet.homs``), so a subset of the set is counted
+from its indices and never rebuilt as a set.
 
 Projections from a set point are kept projective: the image of q under
 projection from p is the direction of the line pq, as a point of the rational
@@ -463,18 +466,20 @@ def _plane_anchors(P: PointSet, later: int, name: str):
         yield i, classes if i == 0 else _direction_classes(homs, i, range(i + 1, n))
 
 
-def _plane_groups(P: PointSet, min_points: int = 3) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Map the key (as ``plane_key`` gives it) of each spanned plane with at least
-    ``min_points`` points to the sorted indices of the points of P on it.
+def _new_planes(P: PointSet, min_points: int):
+    """Yield (key, i, members, plane) once for each spanned plane with at least
+    ``min_points`` points: its key (as ``plane_key`` gives it), its smallest-index
+    point i, the lists of i's direction classes, and its ``_heavy_planes`` bundle
+    ``[points besides i, classes...]`` over them.
 
     Each point i anchors the planes of at least ``min_points`` points it spans
-    with the points after it (``_heavy_planes``). A plane is complete at its
-    smallest-index anchor, so a key seen before is skipped. A plane's normal n
-    is primitive with a positive leading entry and the anchor's weight w is
-    positive, so the plane's vector (w*n, d) has content gcd(w, d) and needs no
-    sign change.
+    with the points after it. A plane is complete at its smallest-index anchor,
+    which is where its key is first seen, so a key seen before is skipped. A
+    plane's normal n is primitive with a positive leading entry and the anchor's
+    weight w is positive, so the plane's vector (w*n, d) has content gcd(w, d)
+    and needs no sign change.
     """
-    groups: dict[tuple[int, ...], tuple[int, ...]] = {}
+    seen: set[tuple[int, ...]] = set()
     for i, classes in _plane_anchors(P, min_points - 1, "plane_summary"):
         x0, x1, x2, w = P.homs[i]  # read after the anchors' checks
         members = list(classes.values())
@@ -484,20 +489,32 @@ def _plane_groups(P: PointSet, min_points: int = 3) -> dict[tuple[int, ...], tup
             g = gcd(w, d)
             f = w // g
             key = (f * n0, f * n1, f * n2, d // g)
-            if key not in groups:
-                on_plane = members[plane[1]] + members[plane[2]]
-                for c in plane[3:]:
-                    on_plane += members[c]
-                on_plane.sort()
-                groups[key] = (i, *on_plane)
+            if key not in seen:
+                seen.add(key)
+                yield key, i, members, plane
+
+
+def _plane_groups(P: PointSet, min_points: int = 3) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Map the key of each spanned plane with at least ``min_points`` points to
+    the sorted indices of the points of P on it, built from its bundle's classes
+    at its first point (``_new_planes``)."""
+    groups: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for key, i, members, plane in _new_planes(P, min_points):
+        on_plane = members[plane[1]] + members[plane[2]]
+        for c in plane[3:]:
+            on_plane += members[c]
+        on_plane.sort()
+        groups[key] = (i, *on_plane)
     return groups
 
 
 def plane_summary(P: PointSet) -> PlaneSummary:
-    """Classify every spanned plane of a 3D set by the points of P it contains."""
-    groups = _plane_groups(P)
+    """Classify every spanned plane of a 3D set by the points of P it contains.
+    A plane's count is read from its bundle at its first point (``_new_planes``):
+    that point and the bundle's points besides it. No member list is built."""
+    planes = {key: 1 + plane[0] for key, _, _, plane in _new_planes(P, 3)}
     # Bare integer tuples sort as their planes' sort_key does.
-    counts = {CanonPlane(k): len(groups[k]) for k in sorted(groups)}
+    counts = {CanonPlane(k): planes[k] for k in sorted(planes)}
     return PlaneSummary(counts, max(counts.values()))
 
 

@@ -3,7 +3,10 @@ hypothesis strategies for large rational coordinates.
 
 The oracles classify lines and planes by direct predicate testing over raw
 point triples and quadruples, with no canonical hashing, so they are slow and
-independent of the implementation under test.
+independent of the implementation under test. ``naive_plane_key_counts`` is the
+exception: it names each triple's plane with the pair-form ``plane_key``, which
+no kernel calls, so that sets of 40-60 points can be checked in well under a
+second each.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from ordlines import PointSet, affine3, canon_plane, collinear, coplanar
+from ordlines import DegenerateInputError, PointSet, affine3, canon_plane, collinear, coplanar
+from ordlines.geometry import int_hom, plane_key
 
 # Rationals whose numerators and denominators reach about 200 bits.
 _BIG = 1 << 200
@@ -96,6 +100,22 @@ def naive_plane_counts(P: PointSet) -> dict:
                 break
         counts[named] = len(members)
     return counts
+
+
+def naive_plane_key_counts(P: PointSet) -> dict[tuple[int, ...], int]:
+    """Map plane key -> point count, from every non-collinear triple's plane.
+
+    Every point of a spanned plane lies in a non-collinear triple on it, so a
+    plane's points are the union of its triples."""
+    homs = [int_hom(p) for p in P]
+    planes: dict[tuple[int, ...], set[int]] = {}
+    for i, j, k in combinations(range(len(homs)), 3):
+        try:
+            key = plane_key(homs[i], homs[j], homs[k])
+        except DegenerateInputError:  # a collinear triple spans no plane
+            continue
+        planes.setdefault(key, set()).update((i, j, k))
+    return {key: len(members) for key, members in planes.items()}
 
 
 def naive_kelly_found(P: PointSet, center: int) -> tuple[set[frozenset[int]], int]:

@@ -1,5 +1,6 @@
 """Bound constants and the concrete verifiers."""
 
+import re
 import sys
 from fractions import Fraction
 
@@ -225,6 +226,18 @@ def test_almost_coplanar_rejects_heavy_plane():
         verify_almost_coplanar(P, 10)
     with pytest.raises(UsageError):
         verify_almost_coplanar(P, -1)
+
+
+def test_almost_coplanar_refuses_a_k_that_is_not_an_int():
+    # Refused before any kernel runs: 2.5 would die in a range deep in the plane
+    # kernel, and True, an int to isinstance, would run as k = 1. The planar set
+    # shows the order: the plane kernel would refuse it with a UsageError.
+    flat = PointSet([affine2(0, 0), affine2(1, 0), affine2(0, 1)])
+    for P in (gen_random(8, 3, seed=1), flat):
+        for k in (2.5, True, Fraction(2)):
+            message = f"cannot interpret {k!r} as a number of points"
+            with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+                verify_almost_coplanar(P, k)
 
 
 def test_almost_coplanar_rejects_k_above_n_before_the_plane_check():

@@ -161,6 +161,13 @@ def test_seed_validation():
     gen_random(3, 2, seed=2**64 - 1)
 
 
+def test_bool_seed_is_refused():
+    # A bool is an int to isinstance; True would run as seed 1 under another label.
+    for seed in (True, False):
+        with pytest.raises(UsageError, match="^seed must be an unsigned 64-bit integer$"):
+            gen_random(3, 2, seed=seed)
+
+
 def test_hesse_configuration():
     P = gen_hesse()
     assert len(P) == 9

@@ -201,6 +201,12 @@ def test_boroczky_loads_neither_analysis_nor_search():
     assert [m for m in ("ordlines.analysis", "ordlines.search") if m in loaded] == []
 
 
+def test_constants_loads_neither_geometry_nor_incidence():
+    # The bound constants are plain Fractions; only the verifiers need the kernels.
+    loaded = _loaded_by_command("constants", "--alpha", "1/2", "--beta", "2/3", "--gamma", "1/9")
+    assert loaded == ["ordlines", "ordlines.analysis", "ordlines.cli", "ordlines.errors", "ordlines.fields"]
+
+
 def test_star_import_binds_the_pinned_names():
     namespace: dict = {}
     exec("from ordlines import *", namespace)

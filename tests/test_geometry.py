@@ -1,5 +1,8 @@
 """Predicates and canonical representatives: the exact core everything rests on."""
 
+import copy
+import dataclasses
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -9,7 +12,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ordlines import (
+    CanonLine2,
     CanonLine3,
+    CanonPlane,
     DegenerateInputError,
     Eisenstein,
     InvariantViolationError,
@@ -275,6 +280,50 @@ def test_canonical_objects_past_the_digit_limit_are_a_usage_error(name, make):
     finally:
         sys.set_int_max_str_digits(limit)
     assert repr(make(10)).startswith("affine2(" if name == "Point" else f"{name}(")
+
+
+_CANONICAL = [
+    (CanonLine2, lambda: canon_line(affine2(1, 2), affine2(3, 5)), "vector", (3, -2, 1)),
+    (CanonLine2, lambda: canon_line(projective2(1, W, 0), projective2(0, 1, W)), "vector", None),
+    (CanonLine3, lambda: canon_line(affine3(1, 2, 3), affine3(4, 5, 7)), "plucker", (3, 5, 3, 1, 3, 4)),
+    (CanonPlane, lambda: canon_plane(affine3(1, 0, 0), affine3(0, 1, 0), affine3(0, 0, 1)), "vector", (1, 1, 1, -1)),
+]
+
+
+@pytest.mark.parametrize("cls, make, field, value", _CANONICAL)
+def test_canonical_types_are_slotted_and_frozen(cls, make, field, value):
+    obj = make()
+    assert type(obj) is cls and cls.__slots__ == (field,)
+    assert not hasattr(obj, "__dict__")
+    if value is not None:
+        assert getattr(obj, field) == value
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, field, (0, 0, 1))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(obj, field)
+    # A name that is not a field has no slot. CPython 3.11's generated frozen
+    # __setattr__ refuses it with a TypeError on a slotted class.
+    with pytest.raises((AttributeError, TypeError)):
+        obj.extra = 1
+    assert not hasattr(obj, "extra")
+
+
+@pytest.mark.parametrize("cls, make, field, value", _CANONICAL)
+def test_canonical_types_compare_hash_and_copy_as_values(cls, make, field, value):
+    obj = make()
+    key = getattr(obj, field)
+    assert obj == make() and hash(obj) == hash(make()) == hash((key,))
+    assert obj != key and obj != (key,)
+    assert repr(obj) == str(obj) == f"{cls.__name__}({field}={key!r})"
+    assert obj.sort_key() == make().sort_key()
+    # A different canonical type with the same vector is a different object.
+    if cls is not CanonLine3:
+        other = CanonPlane if cls is CanonLine2 else CanonLine2
+        assert obj != other(key)
+    for copied in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj), copy.copy(obj)):
+        assert type(copied) is cls and copied == obj and hash(copied) == hash(obj)
+        assert getattr(copied, field) == key and repr(copied) == repr(obj)
+    assert {obj: 1}[pickle.loads(pickle.dumps(obj))] == 1
 
 
 def test_canon_plane_collinear_triple_rejected():

@@ -54,6 +54,7 @@ from conftest import (
     naive_kelly_found,
     naive_line_sets,
     naive_plane_counts,
+    naive_plane_key_counts,
     naive_plane_sets,
     naive_span,
     random_affine_map,
@@ -215,6 +216,36 @@ def test_plane_oracle_equivalence_small_sets():
     for P in sets:
         ps = plane_summary(P)
         assert ps.plane_counts == naive_plane_counts(P), P.label
+
+
+def test_plane_key_oracle_matches_the_predicate_oracle():
+    sets = [gen_random(9, 3, seed=3), integer_box(3, 2, 2)[0], gen_near_coplanar(9, 2, seed=4)]
+    for P in sets + [gen_two_skew(4), axes_seven()]:
+        naive = {plane.vector: count for plane, count in naive_plane_counts(P).items()}
+        assert naive_plane_key_counts(P) == naive, P.label
+
+
+_MANY_POINT_PLANE_SETS = {
+    "box-5x3x3": lambda: integer_box(5, 3, 3)[0],
+    "box-7x7x1": lambda: integer_box(7, 7, 1)[0],  # one plane holds all 49 points
+    "coplanar-heavy-60-seed0": lambda: gen_coplanar_heavy(60, Fraction(1, 2), 0),
+    "coplanar-heavy-60-seed1": lambda: gen_coplanar_heavy(60, Fraction(1, 2), 1),
+    "near-coplanar-30-5": lambda: gen_near_coplanar(30, 5, seed=2),
+    "random-40": lambda: gen_random(40, 3, seed=7),  # general position: every plane has 3 points
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MANY_POINT_PLANE_SETS))
+def test_plane_summary_counts_are_the_member_counts(name):
+    # plane_summary reads each count from the plane's bundle at its first point;
+    # _plane_groups lists the members from the same bundle. They agree key for
+    # key and, sorted, in plane order, and both agree with the naive planes.
+    P = _MANY_POINT_PLANE_SETS[name]()
+    groups = _plane_groups(P)
+    ps = plane_summary(P)
+    assert list(ps.plane_counts.items()) == [(CanonPlane(k), len(groups[k])) for k in sorted(groups)]
+    assert {plane.vector: count for plane, count in ps.plane_counts.items()} == naive_plane_key_counts(P)
+    assert ps.max_coplanar == max(ps.plane_counts.values())
 
 
 @st.composite

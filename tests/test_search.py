@@ -73,6 +73,14 @@ def test_search_refuses_counts_that_are_not_ints():
                 SearchConfig(n=8, alpha=Fraction(1, 2), **{"iterations": 5, name: value})
 
 
+def test_search_refuses_a_bool_seed():
+    # Refused where the seed becomes a generator, before any draw: True, an int to
+    # isinstance, would run as seed 1 and label its set search-n8-seedTrue.
+    config = SearchConfig(n=8, alpha=Fraction(1, 2), iterations=3, seed=True)
+    with pytest.raises(UsageError, match="^seed must be an unsigned 64-bit integer$"):
+        minimize_ordinary(config)
+
+
 def test_config_validation():
     with pytest.raises(UsageError):
         SearchConfig(n=3, alpha=Fraction(1), iterations=0)
