@@ -39,7 +39,7 @@ its first anchor, without touching raw triples. A bundle carries the count of it
 points beside its classes, so the heaviest plane through a point is read
 without listing members, and so is each plane's count in ``plane_summary``:
 1 + its bundle's count at its first anchor, where its key is first seen
-(``_new_planes``). Only ``_plane_groups`` lists a plane's members. Every plane
+(``_first_planes``). Only ``_plane_groups`` lists a plane's members. Every plane
 question asks which planes through an anchor hold at least m of its N later
 points (``_heavy_planes``): such a plane misses at most N - m of them, so it
 contains two of the few largest classes, and only the bundles of those are
@@ -466,11 +466,11 @@ def _plane_anchors(P: PointSet, later: int, name: str):
         yield i, classes if i == 0 else _direction_classes(homs, i, range(i + 1, n))
 
 
-def _new_planes(P: PointSet, min_points: int):
-    """Yield (key, i, members, plane) once for each spanned plane with at least
-    ``min_points`` points: its key (as ``plane_key`` gives it), its smallest-index
-    point i, the lists of i's direction classes, and its ``_heavy_planes`` bundle
-    ``[points besides i, classes...]`` over them.
+def _first_planes(P: PointSet, min_points: int, value) -> dict:
+    """Map the key (as ``plane_key`` gives it) of each spanned plane with at least
+    ``min_points`` points to ``value(i, members, plane)`` at its smallest-index
+    point i: ``members`` lists i's direction classes, and ``plane`` is the plane's
+    ``_heavy_planes`` bundle ``[points besides i, classes...]`` over them.
 
     Each point i anchors the planes of at least ``min_points`` points it spans
     with the points after it. A plane is complete at its smallest-index anchor,
@@ -479,40 +479,48 @@ def _new_planes(P: PointSet, min_points: int):
     weight w is positive, so the plane's vector (w*n, d) has content gcd(w, d)
     and needs no sign change.
     """
-    seen: set[tuple[int, ...]] = set()
+    planes: dict[tuple[int, ...], object] = {}
     for i, classes in _plane_anchors(P, min_points - 1, "plane_summary"):
         x0, x1, x2, w = P.homs[i]  # read after the anchors' checks
         members = list(classes.values())
-        planes = _heavy_planes(list(classes), list(map(len, members)), min_points - 1)
-        for (n0, n1, n2), plane in planes.items():
+        heavy = _heavy_planes(list(classes), list(map(len, members)), min_points - 1)
+        for (n0, n1, n2), plane in heavy.items():
             d = -(n0 * x0 + n1 * x1 + n2 * x2)
             g = gcd(w, d)
             f = w // g
             key = (f * n0, f * n1, f * n2, d // g)
-            if key not in seen:
-                seen.add(key)
-                yield key, i, members, plane
+            if key not in planes:
+                planes[key] = value(i, members, plane)
+    return planes
+
+
+def _plane_members(i: int, members: list[list[int]], plane: list[int]) -> tuple[int, ...]:
+    """The sorted indices of the points on a plane at its first point i (see
+    ``_first_planes``): i and the members of the plane's classes."""
+    on_plane = members[plane[1]] + members[plane[2]]
+    for c in plane[3:]:
+        on_plane += members[c]
+    on_plane.sort()
+    return (i, *on_plane)
+
+
+def _plane_count(i: int, members: list[list[int]], plane: list[int]) -> int:
+    """The number of points on a plane at its first point i (see
+    ``_first_planes``): i and the bundle's points besides it."""
+    return 1 + plane[0]
 
 
 def _plane_groups(P: PointSet, min_points: int = 3) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Map the key of each spanned plane with at least ``min_points`` points to
-    the sorted indices of the points of P on it, built from its bundle's classes
-    at its first point (``_new_planes``)."""
-    groups: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for key, i, members, plane in _new_planes(P, min_points):
-        on_plane = members[plane[1]] + members[plane[2]]
-        for c in plane[3:]:
-            on_plane += members[c]
-        on_plane.sort()
-        groups[key] = (i, *on_plane)
-    return groups
+    the sorted indices of the points of P on it."""
+    return _first_planes(P, min_points, _plane_members)
 
 
 def plane_summary(P: PointSet) -> PlaneSummary:
     """Classify every spanned plane of a 3D set by the points of P it contains.
-    A plane's count is read from its bundle at its first point (``_new_planes``):
-    that point and the bundle's points besides it. No member list is built."""
-    planes = {key: 1 + plane[0] for key, _, _, plane in _new_planes(P, 3)}
+    Each count is read from the plane's bundle at its first point
+    (``_plane_count``); no member list is built."""
+    planes = _first_planes(P, 3, _plane_count)
     # Bare integer tuples sort as their planes' sort_key does.
     counts = {CanonPlane(k): planes[k] for k in sorted(planes)}
     return PlaneSummary(counts, max(counts.values()))
