@@ -16,9 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, UsageError, _require_count
 from .fields import _to_fraction
+
+if TYPE_CHECKING:
+    from .geometry import CanonLine2, CanonLine3, Point
+    from .incidence import PointSet
 
 __all__ = [
     "BoundConstants",

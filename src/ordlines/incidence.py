@@ -512,7 +512,8 @@ def _plane_count(i: int, members: list[list[int]], plane: list[int]) -> int:
 
 def _plane_groups(P: PointSet, min_points: int = 3) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Map the key of each spanned plane with at least ``min_points`` points to
-    the sorted indices of the points of P on it."""
+    the sorted indices of the points of P on it. A caller that needs only a
+    plane's count reads it from the bundle (``_plane_count``) instead."""
     return _first_planes(P, min_points, _plane_members)
 
 
