@@ -190,7 +190,7 @@ def verify_almost_coplanar(P: PointSet, k: int) -> AlmostCoplanarReport:
     The threshold is guaranteed only for n large relative to k, so ``holds``
     is a report; the caveat repeats this.
     """
-    from .incidence import _plane_groups, span_summary
+    from .incidence import _first_planes, span_summary
 
     _require_count(k)
     if k < 0:
@@ -198,11 +198,11 @@ def verify_almost_coplanar(P: PointSet, k: int) -> AlmostCoplanarReport:
     n = len(P)
     if k > n:
         raise UsageError(f"k must be at most n = {n}")
-    over = _plane_groups(P, n - k + 1)
+    over = _first_planes(P, n - k + 1)
     if over:
         # The heaviest of the planes over n - k, ties broken by the least key.
-        offender = min(over, key=lambda key: (-len(over[key]), key))
-        excess = f"{len(over[offender])} points, more than n - k = {n - k}"
+        offender = min(over, key=lambda key: (-over[key], key))
+        excess = f"{over[offender]} points, more than n - k = {n - k}"
         try:
             plane = f"plane {offender}"
         except ValueError as exc:  # a key past the interpreter's digit limit
@@ -258,12 +258,12 @@ def plane_ordinary_profile(P: PointSet) -> list[tuple[int, int]]:
     subset is counted on the set's own integer coordinates, by index.
     """
     from .geometry import direction_row
-    from .incidence import _line_histogram, _plane_groups
+    from .incidence import _first_planes, _line_histogram, _plane_members
 
     homs = P.homs
     profile = [
         (len(members), _line_histogram([homs[i] for i in members], direction_row).ordinary)
-        for members in _plane_groups(P, 4).values()
+        for members in _first_planes(P, 4, _plane_members).values()
     ]
     profile.sort(key=lambda entry: (-entry[0], entry[1]))
     return profile

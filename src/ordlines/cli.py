@@ -142,7 +142,7 @@ def gen(construction_arg, construction, m, n, k, alpha, seed, bound, dim, output
 @click.option("--json", "as_json", is_flag=True)
 def stats(file, planes, as_json):
     """Span summary of a point-set file: line histogram and ordinary count."""
-    from .incidence import _first_planes, _plane_count, span_summary
+    from .incidence import _first_planes, span_summary
     from .pointset_io import read_pointset_file
     ps = read_pointset_file(file)
     s = span_summary(ps)
@@ -159,7 +159,7 @@ def stats(file, planes, as_json):
         },
     }
     if planes:
-        sizes = sorted(Counter(_first_planes(ps, 3, _plane_count).values()).items())
+        sizes = sorted(Counter(_first_planes(ps).values()).items())
         payload["planes"] = {
             "num_planes": sum(c for _, c in sizes),
             "max_coplanar": sizes[-1][0],

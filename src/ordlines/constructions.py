@@ -18,7 +18,7 @@ from math import comb, floor, gcd
 from .errors import GenerationError, InvariantViolationError, UsageError, _require_count
 from .fields import Eisenstein, W, _to_fraction
 from .geometry import Point, affine2, affine3, projective2
-from .incidence import PointSet, SpanSummary, _plane_groups
+from .incidence import PointSet, SpanSummary, _first_planes
 
 __all__ = [
     "gen_two_skew",
@@ -66,6 +66,7 @@ def _random_points(rng: random.Random, n: int, dim: int, bound: int) -> list[Poi
 
 def gen_two_skew(m: int) -> PointSet:
     """m points on each of two skew lines: (t,0,0) and (0,t,1) for t = 1..m."""
+    _require_count(m)
     if m < 2:
         raise UsageError("gen_two_skew needs m >= 2")
     pts = [affine3(t, 0, 0) for t in range(1, m + 1)]
@@ -89,6 +90,8 @@ def gen_near_coplanar(n: int, k: int, seed: int = 0) -> PointSet:
     where ord_planar is the ordinary count of the planar part on its own; for
     k = 1 the z-axis itself is ordinary and the count is one higher.
     """
+    _require_count(n)
+    _require_count(k)
     if k < 1:
         raise UsageError("gen_near_coplanar needs k >= 1")
     if n - k < 4:
@@ -107,7 +110,7 @@ def gen_near_coplanar(n: int, k: int, seed: int = 0) -> PointSet:
         pts += [affine3(x, y, 0) for x, y in sorted(planar)]
         pts += [affine3(0, 0, t) for t in range(1, k + 1)]
         ps = PointSet(pts, label=f"near-coplanar-{n}-{k}-seed{seed}")
-        if not _plane_groups(ps, n - k + 1):  # z = 0 holds n - k points
+        if not _first_planes(ps, n - k + 1):  # z = 0 holds n - k points
             return ps
     raise GenerationError(
         f"no admissible near-coplanar set for n={n}, k={k} after {RETRY_LIMIT} tries"
@@ -132,7 +135,7 @@ def gen_coplanar_heavy(n: int, alpha: Fraction, seed: int = 0) -> PointSet:
         pts += [affine3(x, y, z + 60) for x, y, z in off]
         pts.sort(key=lambda p: (p.coords[2], p.coords[0], p.coords[1]))
         ps = PointSet(pts, label=f"coplanar-heavy-{n}-{alpha}-seed{seed}")
-        if not _plane_groups(ps, m + 1):  # z = 0 holds m points
+        if not _first_planes(ps, m + 1):  # z = 0 holds m points
             return ps
     raise GenerationError(
         f"no admissible coplanar-heavy set for n={n}, alpha={alpha} after {RETRY_LIMIT} tries"
@@ -145,6 +148,7 @@ def gen_random(n: int, dim: int, bound: int = 50, seed: int = 0) -> PointSet:
         raise UsageError("gen_random needs n >= 1")
     if dim not in (2, 3):
         raise UsageError("gen_random supports dim 2 or 3")
+    _require_count(bound, "a coordinate bound")
     if bound < 1:
         raise UsageError("gen_random needs bound >= 1")
     pts = _random_points(_rng(seed), n, dim, bound)
@@ -176,6 +180,8 @@ def gen_hesse() -> PointSet:
 
 def gen_grid2d(a: int, b: int) -> PointSet:
     """The integer grid {1..a} x {1..b} in the affine plane."""
+    _require_count(a)
+    _require_count(b)
     if a < 2 or b < 2:
         raise UsageError("gen_grid2d needs a, b >= 2")
     pts = [affine2(x, y) for x in range(1, a + 1) for y in range(1, b + 1)]
@@ -198,6 +204,7 @@ def boroczky_model(m: int) -> SpanSummary:
     is the ``SpanSummary`` that ``span_summary`` gives for a point set, with n = 2m
     and max_collinear = m, the line at infinity.
     """
+    _require_count(m)
     if m % 2 != 0 or m < 4:
         raise UsageError("boroczky_model needs an even m >= 4")
     half = m // 2

@@ -39,13 +39,13 @@ its first anchor, without touching raw triples. A bundle carries the count of it
 points beside its classes, so the heaviest plane through a point is read
 without listing members, and so is each plane's count in ``plane_summary``:
 1 + its bundle's count at its first anchor, where its key is first seen
-(``_first_planes``). Only ``_plane_groups`` lists a plane's members. Every plane
-question asks which planes through an anchor hold at least m of its N later
-points (``_heavy_planes``): such a plane misses at most N - m of them, so it
-contains two of the few largest classes, and only the bundles of those are
-formed and completed. The kernels read a rational set's integer coordinates,
-computed once per set (``PointSet.homs``), so a subset of the set is counted
-from its indices and never rebuilt as a set.
+(``_first_planes``). Only the heavy-plane profile lists a plane's members
+(``_plane_members``). Every plane question asks which planes through an anchor
+hold at least m of its N later points (``_heavy_planes``): such a plane misses
+at most N - m of them, so it contains two of the few largest classes, and only
+the bundles of those are formed and completed. The kernels read a rational
+set's integer coordinates, computed once per set (``PointSet.homs``), so a
+subset of the set is counted from its indices and never rebuilt as a set.
 
 Projections from a set point are kept projective: the image of q under
 projection from p is the direction of the line pq, as a point of the rational
@@ -466,11 +466,25 @@ def _plane_anchors(P: PointSet, later: int, name: str):
         yield i, classes if i == 0 else _direction_classes(homs, i, range(i + 1, n))
 
 
-def _first_planes(P: PointSet, min_points: int, value) -> dict:
-    """Map the key (as ``plane_key`` gives it) of each spanned plane with at least
-    ``min_points`` points to ``value(i, members, plane)`` at its smallest-index
-    point i: ``members`` lists i's direction classes, and ``plane`` is the plane's
-    ``_heavy_planes`` bundle ``[points besides i, classes...]`` over them.
+def _plane_members(i: int, members: list[list[int]], plane: list[int]) -> tuple[int, ...]:
+    """The sorted indices of a plane's points at its first point i: i and its classes' members."""
+    on_plane = members[plane[1]] + members[plane[2]]
+    for c in plane[3:]:
+        on_plane += members[c]
+    on_plane.sort()
+    return (i, *on_plane)
+
+
+def _plane_count(i: int, members: list[list[int]], plane: list[int]) -> int:
+    """A plane's point count at its first point i: i and its bundle's other points."""
+    return 1 + plane[0]
+
+
+def _first_planes(P: PointSet, min_points: int = 3, value=_plane_count) -> dict:
+    """Map the key (``plane_key``) of each spanned plane of at least ``min_points``
+    points to ``value(i, members, plane)``, by default its point count, at its
+    first point i: ``members`` lists i's direction classes, and ``plane`` is the
+    plane's ``_heavy_planes`` bundle ``[points besides i, classes...]`` over them.
 
     Each point i anchors the planes of at least ``min_points`` points it spans
     with the points after it. A plane is complete at its smallest-index anchor,
@@ -494,34 +508,10 @@ def _first_planes(P: PointSet, min_points: int, value) -> dict:
     return planes
 
 
-def _plane_members(i: int, members: list[list[int]], plane: list[int]) -> tuple[int, ...]:
-    """The sorted indices of the points on a plane at its first point i (see
-    ``_first_planes``): i and the members of the plane's classes."""
-    on_plane = members[plane[1]] + members[plane[2]]
-    for c in plane[3:]:
-        on_plane += members[c]
-    on_plane.sort()
-    return (i, *on_plane)
-
-
-def _plane_count(i: int, members: list[list[int]], plane: list[int]) -> int:
-    """The number of points on a plane at its first point i (see
-    ``_first_planes``): i and the bundle's points besides it."""
-    return 1 + plane[0]
-
-
-def _plane_groups(P: PointSet, min_points: int = 3) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Map the key of each spanned plane with at least ``min_points`` points to
-    the sorted indices of the points of P on it. A caller that needs only a
-    plane's count reads it from the bundle (``_plane_count``) instead."""
-    return _first_planes(P, min_points, _plane_members)
-
-
 def plane_summary(P: PointSet) -> PlaneSummary:
-    """Classify every spanned plane of a 3D set by the points of P it contains.
-    Each count is read from the plane's bundle at its first point
-    (``_plane_count``); no member list is built."""
-    planes = _first_planes(P, 3, _plane_count)
+    """Classify every spanned plane of a 3D set by the points of P it contains,
+    each count read from the plane's bundle at its first point (``_first_planes``)."""
+    planes = _first_planes(P)
     # Bare integer tuples sort as their planes' sort_key does.
     counts = {CanonPlane(k): planes[k] for k in sorted(planes)}
     return PlaneSummary(counts, max(counts.values()))

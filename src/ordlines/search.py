@@ -31,10 +31,10 @@ the check keys no direction, and it counts points per plane instead of
 listing them. It only asks for the planes through the point that hold cap or
 more of the other points, so it crosses only the largest lines through the
 point: a pigeonhole count shows that such a plane contains two of them
-(``incidence._heavy_planes``). The start set asks the same kernel per anchor,
-for its planes of more than cap points (``incidence._plane_groups``), and the
-best set is checked off its plane profile, which lists every plane of 4 or
-more points.
+(``incidence._heavy_planes``). The start set asks the same kernel per anchor
+for the point counts of its planes of more than cap points
+(``incidence._first_planes``), and the best set is checked off its plane
+profile, which lists every plane of 4 or more points.
 """
 
 from __future__ import annotations
@@ -47,11 +47,13 @@ from itertools import chain
 from math import floor, gcd
 
 from .analysis import plane_ordinary_profile
-from .constructions import RETRY_LIMIT, _random_points, _require_count, _rng
-from .errors import DegenerateInputError, GenerationError, InvariantViolationError, UsageError
+from .constructions import RETRY_LIMIT, _random_points, _rng
+from .errors import (
+    DegenerateInputError, GenerationError, InvariantViolationError, UsageError, _require_count,
+)
 from .fields import _to_fraction
 from .geometry import Kind, Point, affine3, plucker_row
-from .incidence import PointSet, _heavy_planes, _plane_groups, span_summary
+from .incidence import PointSet, _first_planes, _heavy_planes, span_summary
 
 __all__ = ["SearchConfig", "SearchResult", "minimize_ordinary"]
 
@@ -212,7 +214,7 @@ def _random_start(config: SearchConfig, rng: random.Random) -> PointSet:
     for _ in range(RETRY_LIMIT):
         start = PointSet(_random_points(rng, config.n, 3, config.coordinate_bound))
         try:
-            if not _plane_groups(start, config.cap + 1):
+            if not _first_planes(start, config.cap + 1):
                 return start
         except DegenerateInputError:  # all collinear
             continue
@@ -286,7 +288,7 @@ def minimize_ordinary(config: SearchConfig) -> SearchResult:
             raise UsageError(
                 f"initial set has {len(config.initial)} points, config says n={config.n}"
             )
-        if _plane_groups(config.initial, config.cap + 1):
+        if _first_planes(config.initial, config.cap + 1):
             raise UsageError("initial set violates the coplanarity cap")
         start = config.initial
     else:

@@ -151,6 +151,22 @@ def test_sizes_that_are_not_ints_are_refused():
     # A bool is an int to isinstance, and True would draw one point.
     with pytest.raises(TypeError, match=r"^cannot interpret True as a number of points$"):
         gen_random(True, 2)
+    # Each size is refused before any draw: True would stack one point on the
+    # z-axis, 10.5 would draw 8 planar points, and 3.0 would reach a range.
+    for make, text in [
+        (lambda: gen_near_coplanar(10, True), "True"),
+        (lambda: gen_near_coplanar(10.5, 2), r"10\.5"),
+        (lambda: gen_two_skew(3.0), r"3\.0"),
+        (lambda: gen_grid2d(3.0, 3), r"3\.0"),
+        (lambda: gen_grid2d(3, 3.0), r"3\.0"),
+        (lambda: boroczky_model(6.0), r"6\.0"),
+    ]:
+        with pytest.raises(TypeError, match=rf"^cannot interpret {text} as a number of points$"):
+            make()
+    # A coordinate bound of 2.5 would reach randrange, and True would run as 1.
+    for bound, text in [(2.5, r"2\.5"), (True, "True")]:
+        with pytest.raises(TypeError, match=rf"^cannot interpret {text} as a coordinate bound$"):
+            gen_random(5, 2, bound)
 
 
 def test_seed_validation():

@@ -46,7 +46,7 @@ from ordlines import (
 )
 from ordlines import incidence
 from ordlines.geometry import CanonPlane, Kind, direction2_row, int_hom, plane_key
-from ordlines.incidence import _pair_counts, _pair_keys, _plane_groups
+from ordlines.incidence import _first_planes, _pair_counts, _pair_keys, _plane_members
 from conftest import (
     big_rational,
     big_vec,
@@ -238,10 +238,10 @@ _MANY_POINT_PLANE_SETS = {
 @pytest.mark.parametrize("name", sorted(_MANY_POINT_PLANE_SETS))
 def test_plane_summary_counts_are_the_member_counts(name):
     # plane_summary reads each count from the plane's bundle at its first point;
-    # _plane_groups lists the members from the same bundle. They agree key for
+    # _plane_members lists the members from the same bundle. They agree key for
     # key and, sorted, in plane order, and both agree with the naive planes.
     P = _MANY_POINT_PLANE_SETS[name]()
-    groups = _plane_groups(P)
+    groups = _first_planes(P, 3, _plane_members)
     ps = plane_summary(P)
     assert list(ps.plane_counts.items()) == [(CanonPlane(k), len(groups[k])) for k in sorted(groups)]
     assert {plane.vector: count for plane, count in ps.plane_counts.items()} == naive_plane_key_counts(P)
@@ -281,11 +281,11 @@ def test_plane_kernel_matches_naive_oracle(P):
     naive = naive_plane_sets(P)
     if not naive:
         with pytest.raises(DegenerateInputError):
-            _plane_groups(P)
+            _first_planes(P, 3, _plane_members)
         with pytest.raises(DegenerateInputError):
             plane_summary(P)
         return
-    groups = _plane_groups(P)
+    groups = _first_planes(P, 3, _plane_members)
     assert {frozenset(members) for members in groups.values()} == naive
     for key, members in groups.items():
         assert list(members) == sorted(members)
@@ -417,42 +417,47 @@ def test_max_coplanar_prunes_every_anchor_after_the_heaviest_plane(size, free, s
 @settings(max_examples=15, deadline=None)
 @given(big_vec, big_vec, st.lists(small_int, min_size=3, max_size=8, unique=True))
 def test_cap_check_rejects_collinear_2d_and_small_sets(o, w, ts):
-    """The cap check, ``_plane_groups(P, cap + 1)``, raises what ``max_coplanar``
-    raises, at any cap, naming ``plane_summary``."""
+    """The member table at cap + 1, ``_first_planes(P, cap + 1, _plane_members)``,
+    raises what ``max_coplanar`` raises, at any cap, naming ``plane_summary``."""
     if not any(w):
         w = (Fraction(1), Fraction(0), Fraction(0))
     run = PointSet([affine3(*(a + t * d for a, d in zip(o, w))) for t in ts])
     flat = PointSet([affine2(0, 0), affine2(1, 0), affine2(0, 1), affine2(1, 1)])
     for cap in (2, 3, len(ts), len(ts) + 1):
         with pytest.raises(DegenerateInputError, match="all points are collinear"):
-            _plane_groups(run, cap + 1)
+            _first_planes(run, cap + 1, _plane_members)
         with pytest.raises(UsageError, match="plane_summary needs at least 3 points"):
-            _plane_groups(PointSet(run.points[:2]), cap + 1)
+            _first_planes(PointSet(run.points[:2]), cap + 1, _plane_members)
         with pytest.raises(UsageError, match="plane_summary needs a 3D affine set"):
-            _plane_groups(flat, cap + 1)
+            _first_planes(flat, cap + 1, _plane_members)
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(planted_sets())
 def test_cap_check_and_filtered_planes_match_the_full_kernel(P):
-    """The cap check, ``_plane_groups(P, cap + 1)``, is nonempty exactly when
-    ``max_coplanar(P) > cap``, at every cap, and the planes of at least m points
-    are the unfiltered planes restricted to them."""
+    """The member table at cap + 1, ``_first_planes(P, cap + 1, _plane_members)``,
+    is nonempty exactly when ``max_coplanar(P) > cap``, at every cap, and the
+    planes of at least m points are the unfiltered planes restricted to them.
+    The count table, ``_first_planes(P, m)``, which the cap checks and the
+    almost-coplanar offender read, maps the same keys to the member counts."""
     if not naive_plane_sets(P):
         for cap in range(2, len(P) + 1):
             with pytest.raises(DegenerateInputError):
-                _plane_groups(P, cap + 1)
+                _first_planes(P, cap + 1, _plane_members)
         for m in range(3, 7):
             with pytest.raises(DegenerateInputError):
-                _plane_groups(P, m)
+                _first_planes(P, m, _plane_members)
         return
     heaviest = max_coplanar(P)
     for cap in range(2, len(P) + 1):
-        assert bool(_plane_groups(P, cap + 1)) == (heaviest > cap), cap
-    groups = _plane_groups(P)
+        over = _first_planes(P, cap + 1, _plane_members)
+        assert bool(over) == (heaviest > cap), cap
+        assert _first_planes(P, cap + 1) == {key: len(members) for key, members in over.items()}, cap
+    groups = _first_planes(P, 3, _plane_members)
     for m in range(3, 7):
         expected = {key: members for key, members in groups.items() if len(members) >= m}
-        assert _plane_groups(P, m) == expected, m
+        assert _first_planes(P, m, _plane_members) == expected, m
+        assert _first_planes(P, m) == {key: len(members) for key, members in expected.items()}, m
 
 
 def test_filtered_planes_without_a_heavy_plane():
@@ -460,11 +465,11 @@ def test_filtered_planes_without_a_heavy_plane():
     not degenerate; an all-collinear set still raises at every min_points."""
     P = gen_random(6, 3, seed=1)
     assert max_coplanar(P) == 3
-    assert _plane_groups(P, 4) == {}
+    assert _first_planes(P, 4, _plane_members) == {}
     run = PointSet([affine3(t, 2 * t, 3 * t) for t in range(6)])
     for m in (3, 4, 7):
         with pytest.raises(DegenerateInputError):
-            _plane_groups(run, m)
+            _first_planes(run, m, _plane_members)
 
 
 @st.composite
@@ -916,7 +921,7 @@ def test_golden_coplanar_heavy_planes():
     assert any(h[3] != 1 for h in P.homs)  # plane keys take the weighted path
     s = plane_summary(P)
     assert (len(s.plane_counts), s.max_coplanar) == (3606, 15)
-    groups = _plane_groups(P)
+    groups = _first_planes(P, 3, _plane_members)
     assert _sha256_of([(k, groups[k]) for k in sorted(groups)]) == (
         "69e324e6eefe297196b2804ac684120afaed3474c6def5418adbcf21ff67e570"
     )
@@ -994,7 +999,7 @@ def test_plane_summary_counts_the_kernel_groups_in_sorted_order(P):
     except DegenerateInputError:  # every point on one line
         return
     planes = list(s.plane_counts)
-    groups = _plane_groups(P)
+    groups = _first_planes(P, 3, _plane_members)
     assert [plane.vector for plane in planes] == sorted(groups)
     assert planes == sorted(planes, key=lambda plane: plane.sort_key())
     assert [s.plane_counts[p] for p in planes] == [len(groups[p.vector]) for p in planes]
