@@ -527,6 +527,31 @@ def test_golden_tight_cap_run():
     assert result.plane_profile == []
 
 
+def test_golden_cap_binding_run():
+    """A cap of 10 on 40 points in a small box: the cap check runs on 119 proposals
+    and rejects 37 of them, and 480 of the 4,282 lines it is given through the
+    moved point are horizontal (a direction with a zero last entry)."""
+    result = minimize_ordinary(
+        SearchConfig(n=40, alpha=Fraction(1, 4), iterations=600, seed=5, coordinate_bound=2)
+    )
+    assert result.best_count == 594
+    assert result.trace == [
+        (0, 678), (7, 675), (11, 672), (14, 669), (53, 666), (66, 663), (67, 660),
+        (122, 648), (129, 645), (141, 639), (145, 633), (146, 630), (167, 624), (199, 618),
+        (201, 615), (246, 612), (296, 609), (305, 603), (572, 600), (600, 594),
+    ]
+    assert result.accepted_moves == 82
+    assert _sha256_of(result.best) == (
+        "bfdb0c119eda6925680dd5b96a26e1c81768fbcca041334ed4a7e2e0a0ce94ab"
+    )
+    assert len(result.plane_profile) == 919
+    assert result.plane_profile[:8] == [(10, 12), (10, 18), (10, 18), (10, 21), (10, 21),
+                                        (10, 24), (10, 24), (10, 27)]
+    assert hashlib.sha256(repr(result.plane_profile).encode("utf-8")).hexdigest() == (
+        "5cd0265a9aafd20da84792cde8ebee3561459171f44b7dac8834a3a322a6a235"
+    )
+
+
 def test_golden_no_start_under_the_cap():
     """Ten points in the same box always put four on some plane."""
     config = SearchConfig(n=10, alpha=Fraction(3, 10), iterations=300, seed=7, coordinate_bound=2)
