@@ -124,6 +124,7 @@ def gen_coplanar_heavy(n: int, alpha: Fraction, seed: int = 0) -> PointSet:
     the plane (z shifted by 60, so never on it), ordered by (z, x, y);
     regenerates until the heaviest-plane count lands exactly.
     """
+    _require_count(n)
     alpha = _to_fraction(alpha)
     m = floor(alpha * n)
     if not 3 <= m <= n:
@@ -146,6 +147,7 @@ def gen_random(n: int, dim: int, bound: int = 50, seed: int = 0) -> PointSet:
     """n distinct random rational points with numerators and denominators up to bound."""
     if n < 1:
         raise UsageError("gen_random needs n >= 1")
+    _require_count(dim, "a dimension")
     if dim not in (2, 3):
         raise UsageError("gen_random supports dim 2 or 3")
     _require_count(bound, "a coordinate bound")

@@ -146,13 +146,15 @@ def test_sizes_that_are_not_ints_are_refused():
     # A draw loop would round 10.5 up to 11 points.
     with pytest.raises(TypeError, match=r"^cannot interpret 10\.5 as a number of points$"):
         gen_random(10.5, 2)
-    with pytest.raises(TypeError, match=r"^cannot interpret 5\.5 as a number of points$"):
-        gen_coplanar_heavy(10.5, Fraction(1, 2))  # 5 planar points, then 10.5 - 5 off it
+    # Refused as given, not as the 10.5 - 5 points it would draw off the plane.
+    with pytest.raises(TypeError, match=r"^cannot interpret 10\.5 as a number of points$"):
+        gen_coplanar_heavy(10.5, Fraction(1, 2))
     # A bool is an int to isinstance, and True would draw one point.
     with pytest.raises(TypeError, match=r"^cannot interpret True as a number of points$"):
         gen_random(True, 2)
     # Each size is refused before any draw: True would stack one point on the
-    # z-axis, 10.5 would draw 8 planar points, and 3.0 would reach a range.
+    # z-axis or reach the plane-count check, 10.5 would draw 8 planar points,
+    # and 3.0 would reach a range.
     for make, text in [
         (lambda: gen_near_coplanar(10, True), "True"),
         (lambda: gen_near_coplanar(10.5, 2), r"10\.5"),
@@ -160,6 +162,7 @@ def test_sizes_that_are_not_ints_are_refused():
         (lambda: gen_grid2d(3.0, 3), r"3\.0"),
         (lambda: gen_grid2d(3, 3.0), r"3\.0"),
         (lambda: boroczky_model(6.0), r"6\.0"),
+        (lambda: gen_coplanar_heavy(True, 3), "True"),
     ]:
         with pytest.raises(TypeError, match=rf"^cannot interpret {text} as a number of points$"):
             make()
@@ -167,6 +170,10 @@ def test_sizes_that_are_not_ints_are_refused():
     for bound, text in [(2.5, r"2\.5"), (True, "True")]:
         with pytest.raises(TypeError, match=rf"^cannot interpret {text} as a coordinate bound$"):
             gen_random(5, 2, bound)
+    # A dimension of 2.0 or 3.0 is in (2, 3) and would reach a range.
+    for dim, text in [(2.0, r"2\.0"), (3.0, r"3\.0")]:
+        with pytest.raises(TypeError, match=rf"^cannot interpret {text} as a dimension$"):
+            gen_random(5, dim)
 
 
 def test_seed_validation():
