@@ -35,17 +35,21 @@ between processes costs more than keying them.
 
 Planes group pairs of one anchor's direction classes by the normal they span,
 so each group (a bundle) is the anchor's share of one plane, again complete at
-its first anchor, without touching raw triples. A bundle carries the count of its
-points beside its classes, so the heaviest plane through a point is read
+its first anchor, without touching raw triples. A bundle carries the count of
+its points beside its classes, so the heaviest plane through a point is read
 without listing members, and so is each plane's count in ``plane_summary``:
 1 + its bundle's count at its first anchor, where its key is first seen
 (``_first_planes``). Only the heavy-plane profile lists a plane's members
 (``_plane_members``). Every plane question asks which planes through an anchor
 hold at least m of its N later points (``_heavy_planes``): such a plane misses
 at most N - m of them, so it contains two of the few largest classes, and only
-the bundles of those are formed and completed. The kernels read a rational
-set's integer coordinates, computed once per set (``PointSet.homs``), so a
-subset of the set is counted from its indices and never rebuilt as a set.
+the planes of those are found and completed. Where m is 3 or more, they are
+found a pencil at a time: the planes through one class's line are keyed per
+later class by a 2-entry key in the directions modulo the line's
+(``direction2_row``), and a normal is formed only for a plane that holds
+enough points (``_pencil_planes``). The kernels read a rational set's integer
+coordinates, computed once per set (``PointSet.homs``), so a subset of the set
+is counted from its indices and never rebuilt as a set.
 
 Projections from a set point are kept projective: the image of q under
 projection from p is the direction of the line pq, as a point of the rational
@@ -379,7 +383,10 @@ def _bundles(dirs: list, sizes: list[int]) -> dict[tuple[int, ...], list[int]]:
     cross product, so a line through the anchor joins every plane that contains
     it. Maps each normal to its bundle ``[points, c0, c1, ...]``: the number of
     points on the plane besides the anchor, then its classes. Empty when there
-    is only one class.
+    is only one class. It crosses every pair of classes, so it serves the
+    questions that want every plane, of 2 or more points besides the anchor
+    (``plane_summary``, ``kelly_trace``); ``_pencil_planes`` finds the heavier
+    ones with no cross product per pair.
     """
     bundles: dict[tuple[int, ...], list[int]] = {}
     for a in range(len(dirs) - 1):
@@ -396,6 +403,68 @@ def _bundles(dirs: list, sizes: list[int]) -> dict[tuple[int, ...], list[int]]:
     return bundles
 
 
+def _pencil_planes(dirs: list, sizes: list[int], m: int) -> dict[tuple[int, ...], list[int]]:
+    """The bundles (see ``_bundles``) of at least m >= 3 points, in the same order,
+    keyed by pencil with no cross product per pair of classes.
+
+    The planes through the line of class a are a pencil: a later class b lies on
+    the one that a's direction spans with b's, which is the 2-entry key of b in
+    the plane of directions modulo a's. With a's direction (a0, a1, a2), a2 != 0,
+    that key is ``direction2_row``'s primitive signed (b0*a2 - a0*b2, b1*a2 - a1*b2),
+    and a direction with a2 = 0 is keyed in a chart that swaps a nonzero entry
+    into last place. So a row of equal keys is one plane, complete at its first
+    class. A row whose keys are all distinct holds only planes of two classes,
+    and is skipped when a's size and the largest later one fall short of m, as
+    is a row whose classes from a on hold fewer than m points. The normal
+    (``cross_row``) is formed only for a plane that reaches m, and a plane is
+    kept as it is found at its first class.
+    """
+    last = len(dirs) - 1
+    largest, held = sizes[:], sizes[:]  # the largest size and the sum from each class on
+    for c in range(last - 1, -1, -1):
+        largest[c] = max(largest[c], largest[c + 1])
+        held[c] += held[c + 1]
+    charts: dict[int, list] = {}
+    planes: dict[tuple[int, ...], list[int]] = {}
+    for a in range(last):
+        if held[a] < m:
+            continue
+        sa = sizes[a]
+        da = dirs[a]
+        if da[2]:
+            keys = direction2_row(da, dirs[a + 1 :])
+        else:
+            swap = 1 if da[1] else 0  # the nonzero entry that takes last place
+            chart = charts.get(swap)
+            if chart is None:
+                if swap:
+                    chart = [(d0, d2, d1) for d0, d1, d2 in dirs]
+                else:
+                    chart = [(d2, d1, d0) for d0, d1, d2 in dirs]
+                charts[swap] = chart
+            keys = direction2_row(chart[a], chart[a + 1 :])
+        if len(set(keys)) == len(keys):
+            if sa + largest[a + 1] < m:
+                continue
+            found = [[sa + sizes[b], a, b] for b in range(a + 1, last + 1)]
+        else:
+            groups: dict[tuple[int, int], list[int]] = {}
+            for b, key in enumerate(keys, a + 1):
+                group = groups.get(key)
+                if group is None:
+                    groups[key] = [sa + sizes[b], a, b]
+                else:
+                    group[0] += sizes[b]
+                    group.append(b)
+            found = groups.values()
+        for group in found:
+            if group[0] >= m:
+                normal = cross_row(da, (dirs[group[2]],))[0]
+                if normal not in planes:
+                    planes[normal] = group
+    return planes
+
+
 def _heavy_planes(dirs: list, sizes: list[int], m: int) -> dict[tuple[int, ...], list[int]]:
     """The planes through an anchor with these direction classes (see ``_bundles``)
     that hold at least m points besides the anchor, each mapped from its normal to
@@ -405,12 +474,14 @@ def _heavy_planes(dirs: list, sizes: list[int], m: int) -> dict[tuple[int, ...],
     them. Take classes, largest first, until the prefix holds slack + s + 2
     points, s the largest class size. The plane keeps at least s + 2 of the
     prefix's points, more than any one class holds, so it contains two prefix
-    classes: it is a bundle of the prefix alone with at least ``prefix total -
-    slack`` points. Only those bundles are completed with the other classes, by
-    the exact dot product of the normal with each direction. A margin of s + 1
-    would be enough; s + 2 keeps the prefix's 3-point planes from all being
-    candidates when s is 1. When the prefix is every class (always for m <= 2),
-    the bundles are returned, filtered only for m > 2: each holds at least 2.
+    classes: it is a plane of the prefix alone with at least ``prefix total -
+    slack`` >= 3 points, which ``_pencil_planes`` finds. Only those planes are
+    completed with the other classes, by the exact dot product of the normal with
+    each direction. A margin of s + 1 would be enough; s + 2 keeps the prefix's
+    3-point planes from all being candidates when s is 1. When the prefix is
+    every class (always for m <= 2), the planes of at least m points are
+    returned: from ``_pencil_planes`` for m >= 3, and for m <= 2 every bundle,
+    as each holds at least 2.
     """
     slack = sum(sizes) - m
     if slack < 0:
@@ -424,15 +495,12 @@ def _heavy_planes(dirs: list, sizes: list[int], m: int) -> dict[tuple[int, ...],
         prefix.append(c)
         total += sizes[c]
     if len(prefix) == len(order):  # nothing pruned
-        bundles = _bundles(dirs, sizes)
-        return bundles if m <= 2 else {k: b for k, b in bundles.items() if b[0] >= m}
+        return _bundles(dirs, sizes) if m <= 2 else _pencil_planes(dirs, sizes, m)
     rest = order[len(prefix) :]
     planes: dict[tuple[int, ...], list[int]] = {}
-    bundles = _bundles([dirs[c] for c in prefix], [sizes[c] for c in prefix])
-    for normal, bundle in bundles.items():
+    heavy = _pencil_planes([dirs[c] for c in prefix], [sizes[c] for c in prefix], total - slack)
+    for normal, bundle in heavy.items():
         count = bundle[0]
-        if count < total - slack:
-            continue
         n0, n1, n2 = normal
         classes = [prefix[c] for c in bundle[1:]]
         for c in rest:

@@ -19,22 +19,27 @@ from the drawn numerators and denominators and reduces it with one gcd, so a
 proposal onto an occupied place is found by comparing these canonical tuples,
 and ``Point``s are built only for the best set.
 
-Proposals are scored incrementally. The state keeps the canonical line key
-of every point pair and how many pairs map to each key; a line with k points
-receives C(k,2) pairs, so it is ordinary exactly when one pair maps to its
-key. Moving one point retracts its n-1 old pairs and adds its n-1 new ones,
-and a rejected move is undone the same way. The coplanarity cap is only
-checked once a proposal would otherwise be accepted, and only through the
-moved point: a move can create an overweight plane only through the point it
-placed. The lines through that point are read from its new row of keys, so
-the check keys no direction, and it counts points per plane instead of
-listing them. It only asks for the planes through the point that hold cap or
-more of the other points, so it crosses only the largest lines through the
-point: a pigeonhole count shows that such a plane contains two of them
-(``incidence._heavy_planes``). The start set asks the same kernel per anchor
-for the point counts of its planes of more than cap points
-(``incidence._first_planes``), and the best set is checked off its plane
-profile, which lists every plane of 4 or more points.
+Proposals are scored from the moved point's rows alone. The state keeps the
+canonical line key of every point pair, the number of ordinary lines and the
+number of lines; equal keys in a point's row are one line through it, a class
+of the other points on it. A line through the point with one other point on it
+is ordinary, and one with two others becomes ordinary when the point leaves.
+So with old[s] and new[s] the numbers of classes of s other points at the old
+and the new place, the proposal has ordinary - old[1] + old[2] + new[1] -
+new[2] ordinary lines and lines - old[1] + new[1] lines. Only an accepted move
+writes its row into the state; a rejected one writes nothing, so there is
+nothing to undo. The coplanarity cap is only checked once a proposal would
+otherwise be accepted, and only through the moved point: a move can create an
+overweight plane only through the point it placed. The lines through that
+point are read from its new row of keys, so the check keys no point pair
+again, and it counts points per plane instead of listing them. It only asks for the
+planes through the point that hold cap or more of the other points, so it
+crosses only the largest lines through the point: a pigeonhole count shows
+that such a plane contains two of them, and the planes through each of those
+lines are keyed by 2-entry pencil keys (``incidence._heavy_planes``). The
+start set asks the same kernel per anchor for the point counts of its planes
+of more than cap points (``incidence._first_planes``), and the best set is
+checked off its plane profile, which lists every plane of 4 or more points.
 """
 
 from __future__ import annotations
@@ -151,15 +156,15 @@ class SearchResult:
 
 
 class _LineCounts:
-    """Pair counts per spanned line of a 3D point set, kept up to date as points move.
+    """The spanned lines of a 3D point set as its points move: the line key of
+    every pair, the number of ordinary lines and the number of lines.
 
-    ``keys[i][j]`` is the line key of the pair {i, j}, ``pairs`` maps each
-    line key to the number of pairs on it, and ``ordinary`` counts the keys
-    hit by exactly one pair. The start counts come from one ``Counter`` over the
-    Plücker rows, as ``incidence._pair_counts`` counts them; ``pairs`` is then a
-    plain dict, since a ``Counter`` makes a Python call for each new key.
-    Intermediate states during a move need not be valid configurations;
-    ``ordinary`` tracks the keys at count 1 throughout.
+    ``keys[i][j]`` is the line key of the pair {i, j} (``keys[i][i]`` is None).
+    Equal keys in row i are one line through point i, so the row's classes are
+    the lines through i, each with the number of other points on it. The start
+    counts come from one ``Counter`` over the Plücker rows, as
+    ``incidence._pair_counts`` counts them: a k-point line is keyed by C(k, 2)
+    pairs, so it is ordinary exactly when one pair has its key.
     """
 
     def __init__(self, homs: list[tuple[int, ...]]):
@@ -169,45 +174,46 @@ class _LineCounts:
         for i, row in enumerate(rows):
             for j, key in enumerate(row, i + 1):
                 self.keys[i][j] = self.keys[j][i] = key
-        self.pairs: dict[tuple[int, ...], int] = dict(Counter(chain.from_iterable(rows)))
-        self.ordinary = sum(c == 1 for c in self.pairs.values())
+        pairs = Counter(chain.from_iterable(rows))
+        self.ordinary = sum(c == 1 for c in pairs.values())
+        self.lines = len(pairs)
 
-    def replace(self, i: int, new_keys: list) -> list:
-        """Give point i the pair keys ``new_keys`` (indexed like the points, entry i
-        ignored) and return its previous row, which undoes the move when replaced back."""
-        pairs, keys, ordinary = self.pairs, self.keys, self.ordinary
-        row = keys[i]
+    def score(self, i: int, row: list) -> tuple[int, int, Counter]:
+        """The ordinary and line counts with point i moved to a place whose pair
+        keys with the other points, in their order, are ``row``, and the new
+        place's classes: a ``Counter`` of line key -> other points on the line.
+
+        With old[s] and new[s] the numbers of classes of s other points at the
+        old and the new place: taking the point away removes its old[1]
+        two-point lines and leaves its old[2] three-point lines with two points;
+        putting it back adds new[1] two-point lines and gives new[2] two-point
+        lines a third point. Nothing is written.
+        """
+        old = list(Counter(self.keys[i]).values())  # the entry None is a class of 1
+        counts = Counter(row)
+        new = list(counts.values())
+        old1, new1 = old.count(1) - 1, new.count(1)
+        ordinary = self.ordinary - old1 + old.count(2) + new1 - new.count(2)
+        return ordinary, self.lines - old1 + new1, counts
+
+    def commit(self, i: int, row: list, ordinary: int, lines: int) -> None:
+        """Move point i to the place ``score`` was given ``row`` for, with the
+        counts it returned."""
+        row.insert(i, None)
+        keys = self.keys
         for j, key in enumerate(row):
-            if j != i:
-                c = pairs[key]
-                if c == 1:
-                    del pairs[key]
-                    ordinary -= 1
-                else:
-                    pairs[key] = c - 1
-                    if c == 2:
-                        ordinary += 1
-        for j, key in enumerate(new_keys):
-            if j != i:
-                c = pairs.get(key, 0)
-                pairs[key] = c + 1
-                if c == 0:
-                    ordinary += 1
-                elif c == 1:
-                    ordinary -= 1
-                keys[j][i] = key
-        keys[i] = new_keys
+            keys[j][i] = key
+        keys[i] = row
         self.ordinary = ordinary
-        return row
+        self.lines = lines
 
-    def classes(self, i: int) -> tuple[list[tuple[int, ...]], list[int]]:
-        """The lines through point i as ``_heavy_planes`` takes them: a
-        direction of each and the number of other points on it. Equal keys in row
-        i are the same line through i, and entries (p03, p13, p23) of a Plücker
-        key are a nonzero multiple of its direction."""
-        counts = Counter(self.keys[i])
-        del counts[None]
-        return [(k[2], k[4], k[5]) for k in counts], list(counts.values())
+
+def _classes(counts: Counter) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The lines through a point as ``_heavy_planes`` takes them, from its
+    classes as ``_LineCounts.score`` gives them: a direction of each and the
+    number of other points on it. Entries (p03, p13, p23) of a Plücker key are
+    a nonzero multiple of its direction."""
+    return [(k[2], k[4], k[5]) for k in counts], list(counts.values())
 
 
 def _random_start(config: SearchConfig, rng: random.Random) -> PointSet:
@@ -310,21 +316,17 @@ def minimize_ordinary(config: SearchConfig) -> SearchResult:
         tn, td = _limit_denominator(tn * 999, td * 1000, _TEMP_DEN_LIMIT)
         if new_hom in homs:
             continue
-        old_hom = homs[i]
-        homs[i] = new_hom
-        new_keys = plucker_row(new_hom, homs[:i] + homs[i + 1 :])
-        new_keys.insert(i, None)
-        old_keys = lines.replace(i, new_keys)
-        candidate = lines.ordinary
-        ok = len(lines.pairs) > 1
+        row = plucker_row(new_hom, homs[:i] + homs[i + 1 :])
+        candidate, num_lines, counts = lines.score(i, row)
+        ok = num_lines > 1
         if ok and candidate >= current:
             ok = _accepts(candidate - current, tn, td, rng.randrange(_DRAW_DEN))
         if ok:
-            ok = not _heavy_planes(*lines.classes(i), config.cap)
+            ok = not _heavy_planes(*_classes(counts), config.cap)
         if not ok:
-            homs[i] = old_hom
-            lines.replace(i, old_keys)
             continue
+        homs[i] = new_hom
+        lines.commit(i, row, candidate, num_lines)
         current = candidate
         accepted += 1
         if current < best_count:

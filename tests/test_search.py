@@ -5,7 +5,7 @@ import math
 import random
 import re
 from collections import Counter
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from fractions import Fraction
 
 import pytest
@@ -40,9 +40,10 @@ from ordlines.search import (
     _hom_point,
     _limit_denominator,
     _LineCounts,
+    _classes,
     _propose,
 )
-from conftest import big_vec, naive_plane_sets, small_int
+from conftest import big_vec, integer_box, naive_plane_sets, small_int
 
 
 def test_config_alpha_is_exact():
@@ -333,27 +334,31 @@ def _line_state(points) -> tuple[int, int, dict[int, int]]:
 
 
 def _state_of(lines: _LineCounts) -> tuple[int, int, dict[int, int]]:
-    """The same triple from the incremental state: a key hit by C(k,2) pairs is a k-point line."""
+    """The same triple from the incremental state: a key hit by C(k,2) pairs of
+    the key matrix is a k-point line."""
+    n = len(lines.keys)
+    pairs = Counter(lines.keys[i][j] for i in range(n) for j in range(i + 1, n))
     t: dict[int, int] = {}
-    for c in lines.pairs.values():
+    for c in pairs.values():
         k = next(k for k in range(2, 200) if k * (k - 1) // 2 == c)
         t[k] = t.get(k, 0) + 1
-    return lines.ordinary, len(lines.pairs), dict(sorted(t.items()))
+    return lines.ordinary, lines.lines, dict(sorted(t.items()))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_incremental_line_counts_match_span_summary(data):
     """Points on the 5x5x5 grid, so moves often make and break lines of 3 or more.
-    Each step moves a point to a grid point or snaps it onto the line through two
-    others; an undo step then moves it back, as a rejected proposal does."""
+    Each step proposes a grid point or a snap onto the line through two others
+    and scores it; a committed move then updates the state, and a rejected one
+    must have left it as it was."""
     points = data.draw(st.lists(_grid_point, min_size=4, max_size=12, unique=True))
     homs = [int_hom(affine3(*c)) for c in points]
     lines = _LineCounts(homs)
     assert _state_of(lines) == _line_state(points)
     for _ in range(data.draw(st.integers(min_value=1, max_value=12))):
         i = data.draw(st.integers(min_value=0, max_value=len(points) - 1))
-        kind = data.draw(st.sampled_from(["random", "snap", "undo"]))
+        kind = data.draw(st.sampled_from(["random", "snap", "reject"]))
         if kind == "snap":
             j, k = data.draw(st.lists(
                 st.sampled_from([x for x in range(len(points)) if x != i]),
@@ -365,17 +370,20 @@ def test_incremental_line_counts_match_span_summary(data):
             new = data.draw(_grid_point)
         if new in points:
             continue
-        before = (dict(lines.pairs), lines.ordinary, [list(row) for row in lines.keys])
-        old_point, old_hom = points[i], homs[i]
-        points[i], homs[i] = new, int_hom(affine3(*new))
-        new_keys = [None if j == i else plucker_key(homs[i], h) for j, h in enumerate(homs)]
-        old_row = lines.replace(i, new_keys)
+        new_hom = int_hom(affine3(*new))
+        row = [plucker_key(new_hom, h) for j, h in enumerate(homs) if j != i]
+        before = (lines.ordinary, lines.lines, [list(keys) for keys in lines.keys])
+        ordinary, num_lines, counts = lines.score(i, row)
+        assert (lines.ordinary, lines.lines, lines.keys) == before
+        moved = points[:i] + [new] + points[i + 1 :]
+        assert (ordinary, num_lines) == _line_state(moved)[:2]
+        assert counts == Counter(row)
+        if kind == "reject":
+            continue
+        lines.commit(i, row, ordinary, num_lines)
+        points, homs[i] = moved, new_hom
         assert _state_of(lines) == _line_state(points)
-        if kind == "undo":
-            points[i], homs[i] = old_point, old_hom
-            lines.replace(i, old_row)
-            assert (lines.pairs, lines.ordinary, lines.keys) == before
-            assert _state_of(lines) == _line_state(points)
+        assert lines.keys == _LineCounts(homs).keys
 
 
 def _assert_naive_planes(planes, dirs, members, naive, point, m):
@@ -459,10 +467,10 @@ def test_pruned_plane_check_matches_naive(case, start):
         homs[moved] = int_hom(affine3(*start))
     lines = _LineCounts(homs)
     homs[moved] = int_hom(P[moved])
-    lines.replace(
-        moved, [None if j == moved else plucker_key(homs[moved], h) for j, h in enumerate(homs)]
-    )
-    row = lines.classes(moved)
+    keys = [plucker_key(homs[moved], h) for j, h in enumerate(homs) if j != moved]
+    ordinary, num_lines, counts = lines.score(moved, keys)
+    lines.commit(moved, keys, ordinary, num_lines)
+    row = _classes(counts)
     keys = lines.keys[moved]
     row_members = [[j for j, key in enumerate(keys) if key == k] for k in dict.fromkeys(keys) if k]
     for m in range(len(P) + 2):
@@ -470,6 +478,45 @@ def test_pruned_plane_check_matches_naive(case, start):
             heavy = _heavy_planes(dirs, sizes, m)
             assert bool(heavy) == (others_heaviest >= m), m
             _assert_naive_planes(heavy, dirs, members, planes, moved, m)
+
+
+@pytest.mark.parametrize("box", [(3, 3, 2), (2, 3, 3), (2, 2, 4)])
+def test_plane_kernel_matches_naive_with_horizontal_classes(box):
+    """In a box, many lines through each point are horizontal, so their
+    directions have a zero last entry, and those on the x-axis a zero middle one
+    as well; the kernel keys the planes through such a line in a chart with its
+    coordinates permuted. From every point, with the directions as given and as
+    negative multiples, every m up to the heaviest plane's finds the naive
+    planes, which are the m = 2 bundles of at least m points."""
+    P, _ = integer_box(*box)
+    planes = naive_plane_sets(P)
+    heaviest = max(map(len, planes))
+    for point in range(len(P)):
+        classes = _direction_classes(P.homs, point, [j for j in range(len(P)) if j != point])
+        members = list(classes.values())
+        sizes = list(map(len, members))
+        for dirs in (list(classes), [tuple(-2 * x for x in d) for d in classes]):
+            assert any(d[2] == 0 and d[1] for d in dirs)
+            assert any(d[1] == d[2] == 0 for d in dirs)
+            bundles = _heavy_planes(dirs, sizes, 2)
+            for m in range(heaviest + 1):  # none from m = heaviest on
+                heavy = _heavy_planes(dirs, sizes, m)
+                _assert_naive_planes(heavy, dirs, members, planes, point, m)
+                assert heavy == {k: b for k, b in bundles.items() if b[0] >= m}, m
+
+
+def test_plane_kernel_finds_a_plane_of_exactly_m_at_a_late_class():
+    """The origin and the three axes, with two points on the z-axis: the plane
+    of the last two classes may hold exactly m points. With the other points in
+    every order, every m finds the naive planes through the origin."""
+    for order in permutations([(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 2)]):
+        P = PointSet([affine3(0, 0, 0)] + [affine3(*c) for c in order])
+        planes = naive_plane_sets(P)
+        classes = _direction_classes(P.homs, 0, range(1, 5))
+        dirs, members = list(classes), list(classes.values())
+        for m in range(6):
+            heavy = _heavy_planes(dirs, list(map(len, members)), m)
+            _assert_naive_planes(heavy, dirs, members, planes, 0, m)
 
 
 # --- golden runs ------------------------------------------------------------
