@@ -32,9 +32,9 @@ nothing to undo. The coplanarity cap is only checked once a proposal would
 otherwise be accepted, and only through the moved point: a move can create an
 overweight plane only through the point it placed. The lines through that
 point are read from its new row of keys, so the check keys no point pair
-again, and it counts points per plane instead of listing them. It only asks for the
-planes through the point that hold cap or more of the other points, so it
-crosses only the largest lines through the point: a pigeonhole count shows
+again, and it counts points per plane instead of listing them. It only asks
+for the planes through the point that hold cap or more of the other points, so
+it crosses only the largest lines through the point: a pigeonhole count shows
 that such a plane contains two of them, and the planes through each of those
 lines are keyed by 2-entry pencil keys (``incidence._heavy_planes``). The
 start set asks the same kernel per anchor for the point counts of its planes
